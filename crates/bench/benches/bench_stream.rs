@@ -1,8 +1,9 @@
 //! Subsequence-search benchmark: the pruned cascade matcher against the
 //! naive per-window DP (the `sdtw_eval` oracle), plus the streaming
-//! monitor. Tracked in `BENCH_stream.json`; the bench corpus's cascade
-//! prune rate is recorded in the `stream_prune_rate/...` id and asserted
-//! to clear 50% before the DP stage.
+//! monitor at k = 1 and at k = 3 with no threshold. Tracked in
+//! `BENCH_stream.json`; the bench corpus's cascade prune rate is
+//! recorded in the `stream_prune_rate/...` id and asserted to clear 50%
+//! before the DP stage.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use sdtw::{DtwScratch, SDtw};
@@ -115,6 +116,23 @@ fn bench_stream(c: &mut Criterion) {
     group.bench_function("monitor_top1", |b| {
         b.iter(|| {
             let mut monitor = StreamMonitor::new(matcher.clone(), 1, f64::INFINITY).unwrap();
+            monitor.process(hay.values()).unwrap();
+            black_box(monitor.matches().len())
+        })
+    });
+    // k > 1 at tau = inf: the monitor prunes against its 2k - 1 witness
+    // and must still reproduce the batch top-k
+    let mut top3 = StreamMonitor::new(matcher.clone(), k, f64::INFINITY).unwrap();
+    top3.process(hay.values()).unwrap();
+    let live = top3.matches();
+    assert_eq!(live.len(), reference.matches.len(), "monitor is exact");
+    for (m, r) in live.iter().zip(&reference.matches) {
+        assert_eq!(m.offset, r.offset);
+        assert_eq!(m.distance.to_bits(), r.distance.to_bits());
+    }
+    group.bench_function("monitor_top3_inf", |b| {
+        b.iter(|| {
+            let mut monitor = StreamMonitor::new(matcher.clone(), k, f64::INFINITY).unwrap();
             monitor.process(hay.values()).unwrap();
             black_box(monitor.matches().len())
         })

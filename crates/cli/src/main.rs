@@ -46,6 +46,7 @@ use sdtw_serve::{
 use sdtw_stream::{MonitorBank, StreamConfig, SubseqMatcher, SubseqResult};
 use sdtw_tseries::io::{read_ucr_file, write_ucr_file};
 use sdtw_tseries::TimeSeries;
+use std::io::{self, Write};
 use std::process::ExitCode;
 
 const USAGE: &str = "\
@@ -1074,10 +1075,23 @@ fn cmd_client_emit(a: &Args) -> Result<(), String> {
     let [_, queries_path] = a.positional.as_slice() else {
         return Err("client emit needs <queries>".into());
     };
-    for req in client_requests(a, queries_path)? {
-        println!("{}", req.to_json_line());
+    let requests = client_requests(a, queries_path)?;
+    let lines = requests.iter().map(ServeRequest::to_json_line);
+    write_lines(&mut io::stdout().lock(), lines).map_err(|e| format!("stdout: {e}"))
+}
+
+/// Writes one line per item and flushes. A reader that hangs up early
+/// (`sdtw client emit … | head`) ends the output cleanly: a broken pipe
+/// is not an error.
+fn write_lines<W: Write>(out: &mut W, lines: impl IntoIterator<Item = String>) -> io::Result<()> {
+    let written = lines
+        .into_iter()
+        .try_for_each(|line| writeln!(out, "{line}"))
+        .and_then(|()| out.flush());
+    match written {
+        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => Ok(()),
+        other => other,
     }
-    Ok(())
 }
 
 /// Human rendering of daemon responses (shared by `print` and `send`).
@@ -1260,6 +1274,47 @@ mod tests {
         let err =
             kernel_from(&parse(&["dist", "--kernel", "std", "--penalty", "0.5"])).unwrap_err();
         assert!(err.contains("requires --kernel amerced"), "{err}");
+    }
+
+    /// A sink that accepts `room` bytes, then fails with `kind`.
+    struct FailingSink {
+        room: usize,
+        kind: io::ErrorKind,
+    }
+
+    impl Write for FailingSink {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            if self.room == 0 {
+                return Err(io::Error::from(self.kind));
+            }
+            let n = buf.len().min(self.room);
+            self.room -= n;
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn write_lines_treats_a_broken_pipe_as_a_clean_exit() {
+        let lines = || (0..100).map(|i| format!("{{\"id\":\"q{i}\"}}"));
+        let mut hung_up = FailingSink {
+            room: 40,
+            kind: io::ErrorKind::BrokenPipe,
+        };
+        assert!(write_lines(&mut hung_up, lines()).is_ok());
+        // any other write failure still surfaces
+        let mut full = FailingSink {
+            room: 40,
+            kind: io::ErrorKind::StorageFull,
+        };
+        let err = write_lines(&mut full, lines()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::StorageFull);
+        let mut buf = Vec::new();
+        write_lines(&mut buf, lines()).unwrap();
+        assert_eq!(String::from_utf8(buf).unwrap().lines().count(), 100);
     }
 
     #[test]

@@ -13,9 +13,10 @@
 //! candidates, same matches (bit-for-bit), same stats — because the
 //! runtime half is literally the same code (`monitor::QueryRuntime`) fed
 //! the same rolling statistics; the equivalence is pinned by
-//! `tests/integration_stream.rs`. The exactness regimes therefore carry
-//! over per query: exact for `k == 1` under any `tau`, and for any `k`
-//! under a finite `tau` (see DESIGN.md §9/§10).
+//! `tests/integration_stream.rs`. The exactness contract therefore
+//! carries over per query: exact and witness-pruned for every `k` and
+//! `tau`, with at most `(2k − 1)(2E − 1)` retained candidates for
+//! exclusion distance `E` (see DESIGN.md §9/§10).
 //!
 //! The one structural requirement is a shared window length: every query
 //! of a bank must have the same (prepared) length, since the ingest
@@ -36,7 +37,7 @@ pub struct BankQuery {
     /// Matches to retain for this query.
     pub k: usize,
     /// Acceptance threshold for this query (`f64::INFINITY` = none;
-    /// exact only for `k == 1` there, like a standalone monitor).
+    /// exact for every `k`, like a standalone monitor).
     pub tau: f64,
 }
 

@@ -862,32 +862,6 @@ impl SubseqMatcher {
         }
         out
     }
-
-    /// Greedy non-overlapping selection over scored candidates: ascending
-    /// `(distance, offset)`, each pick excluding offsets closer than the
-    /// matcher's exclusion distance. Used by the streaming monitor.
-    pub(crate) fn select_greedy(&self, candidates: &[SubseqMatch], k: usize) -> Vec<SubseqMatch> {
-        let mut order: Vec<&SubseqMatch> = candidates.iter().collect();
-        order.sort_by(|a, b| {
-            a.distance
-                .partial_cmp(&b.distance)
-                .expect("distances are finite")
-                .then(a.offset.cmp(&b.offset))
-        });
-        let mut picked: Vec<SubseqMatch> = Vec::new();
-        for c in order {
-            if picked.len() == k {
-                break;
-            }
-            if picked
-                .iter()
-                .all(|p| c.offset.abs_diff(p.offset) >= self.exclusion)
-            {
-                picked.push(*c);
-            }
-        }
-        picked
-    }
 }
 
 /// A Kim-surviving window parked in the deferred queue until enough

@@ -95,19 +95,57 @@ impl StreamIngest {
 /// buffer and counter one query mutates as windows arrive. Fed completed
 /// windows by a [`StreamIngest`] (its own in a [`StreamMonitor`], a
 /// shared one in a [`crate::MonitorBank`]).
+///
+/// `candidates` stays sorted by `(distance, offset)` and holds only
+/// windows the greedy top-k selection may still pick: after every insert
+/// a greedy pass looks for `2k − 1` pairwise non-overlapping candidates,
+/// and once it finds them everything sorting after the last of them is
+/// dead for good (DESIGN.md §9). That pass's last distance is the
+/// `witness`, which caps the cascade threshold of every later window.
 #[derive(Debug, Clone)]
 pub(crate) struct QueryRuntime {
     matcher: SubseqMatcher,
     k: usize,
     tau: f64,
     eval: EvalScratch,
-    /// Completed windows with distance ≤ the acceptance threshold.
+    /// Windows still selectable, ascending by `(distance, offset)`.
     candidates: Vec<SubseqMatch>,
+    /// Distance of the last of `2k − 1` pairwise non-overlapping
+    /// candidates (∞ until that many exist): no later window at or above
+    /// it can ever be selected.
+    witness: f64,
+    /// Reused pick buffer of the witness pass.
+    picks: Vec<SubseqMatch>,
     stats: StreamStats,
     /// Phase spans — disabled (≈free) until tracing is switched on.
     rec: Recorder,
     /// (band area, full grid area) summed over DP-entering windows.
     areas: (u64, u64),
+}
+
+/// Greedy non-overlapping selection over `sorted` (ascending by
+/// `(distance, offset)`): each candidate not within `exclusion` of an
+/// earlier pick is picked, until `quota` picks are made. Returns the
+/// index of the last pick when the quota was reached.
+fn select_greedy(
+    sorted: &[SubseqMatch],
+    exclusion: usize,
+    quota: usize,
+    picks: &mut Vec<SubseqMatch>,
+) -> Option<usize> {
+    picks.clear();
+    for (i, c) in sorted.iter().enumerate() {
+        if picks
+            .iter()
+            .all(|p| c.offset.abs_diff(p.offset) >= exclusion)
+        {
+            picks.push(*c);
+            if picks.len() == quota {
+                return Some(i);
+            }
+        }
+    }
+    None
 }
 
 impl QueryRuntime {
@@ -131,6 +169,8 @@ impl QueryRuntime {
             tau,
             eval: EvalScratch::default(),
             candidates: Vec::new(),
+            witness: f64::INFINITY,
+            picks: Vec::new(),
             stats: StreamStats {
                 passes: 1,
                 ..StreamStats::default()
@@ -172,20 +212,16 @@ impl QueryRuntime {
 
     /// Runs this query's cascade on the window the ingest just
     /// completed. Returns the window's match when its DP completed at or
-    /// under the acceptance threshold (a *candidate* — it may later be
-    /// displaced by a better overlapping one).
+    /// under the acceptance threshold and it is still selectable (a
+    /// *candidate* — it may later be displaced by a better overlapping
+    /// one).
     pub(crate) fn on_window(
         &mut self,
         ingest: &StreamIngest,
         offset: usize,
     ) -> Result<Option<SubseqMatch>, TsError> {
         self.stats.windows += 1;
-        // Sound pruning threshold: best-so-far for k = 1, tau otherwise.
-        let threshold = if self.k == 1 {
-            self.candidates.first().map_or(self.tau, |b| b.distance)
-        } else {
-            self.tau
-        };
+        let threshold = self.tau.min(self.witness);
         let moments = ingest.moments();
         let kim = self.matcher.kim_bound(
             moments.front(),
@@ -203,35 +239,44 @@ impl QueryRuntime {
             &mut self.rec,
             &mut self.areas,
         )?;
-        if let WindowVerdict::Completed(distance) = verdict {
-            if distance <= threshold {
-                let m = SubseqMatch { offset, distance };
-                if self.k == 1 {
-                    // only the running best is ever needed; windows
-                    // arrive in offset order, so a strict improvement is
-                    // exactly the greedy (distance, offset) order
-                    if self
-                        .candidates
-                        .first()
-                        .is_none_or(|b| distance < b.distance)
-                    {
-                        self.candidates.clear();
-                        self.candidates.push(m);
-                        return Ok(Some(m));
-                    }
-                    return Ok(None);
-                }
-                self.candidates.push(m);
-                return Ok(Some(m));
-            }
+        let WindowVerdict::Completed(distance) = verdict else {
+            return Ok(None);
+        };
+        if distance > threshold {
+            return Ok(None);
         }
-        Ok(None)
+        let m = SubseqMatch { offset, distance };
+        let at = self.candidates.partition_point(|c| {
+            c.distance
+                .total_cmp(&distance)
+                .then(c.offset.cmp(&offset))
+                .is_lt()
+        });
+        self.candidates.insert(at, m);
+        // 2k − 1 picks settle the witness (saturating: a huge k never
+        // completes the pass and so never prunes)
+        let quota = self.k.saturating_mul(2).saturating_sub(1);
+        let exclusion = self.matcher.exclusion();
+        if let Some(last) = select_greedy(&self.candidates, exclusion, quota, &mut self.picks) {
+            // everything retained sorts at or before the previous last
+            // pick, so the witness never rises
+            self.candidates.truncate(last + 1);
+            self.witness = self.candidates[last].distance;
+        }
+        debug_assert!(
+            self.candidates.len() <= quota.saturating_mul(exclusion.saturating_mul(2) - 1),
+            "every retained candidate lies within one of at most 2k - 1 pick zones"
+        );
+        Ok((at < self.candidates.len()).then_some(m))
     }
 
     /// The current best non-overlapping matches, ascending by
     /// `(distance, offset)`.
     pub(crate) fn matches(&self) -> Vec<SubseqMatch> {
-        self.matcher.select_greedy(&self.candidates, self.k)
+        let mut picks = Vec::new();
+        let exclusion = self.matcher.exclusion();
+        select_greedy(&self.candidates, exclusion, self.k, &mut picks);
+        picks
     }
 
     /// Candidates retained so far.
@@ -248,6 +293,7 @@ impl QueryRuntime {
     /// stays in its current on/off state, recorded spans are dropped).
     pub(crate) fn reset(&mut self) {
         self.candidates.clear();
+        self.witness = f64::INFINITY;
         self.stats = StreamStats {
             passes: 1,
             ..StreamStats::default()
@@ -261,34 +307,27 @@ impl QueryRuntime {
 /// Online subsequence monitor: push samples as they arrive, read the
 /// best non-overlapping matches seen so far at any point.
 ///
-/// Memory is O(query length + retained candidates): the ring buffer
+/// Memory is O(query length + k · exclusion): the ring buffer
 /// ([`WindowedStats`]) holds exactly one window of history, the rolling
-/// extrema hold at most one window of deque entries, and only windows
-/// whose DP completed under the acceptance threshold are retained as
-/// candidates — for `k == 1` that is just the single running best, for
-/// `k > 1` every window at or under `tau` (choose a `tau` tight enough
-/// that qualifying windows are genuinely interesting; each is one
-/// `(offset, distance)` pair). Every push costs O(1) amortised for the
-/// statistics plus the cascade work of at most one window.
+/// extrema hold at most one window of deque entries, and the retained
+/// candidates (each one `(offset, distance)` pair) never exceed
+/// `(2k − 1)(2E − 1)` for exclusion distance `E` — every retained window
+/// lies within `E − 1` of one of at most `2k − 1` greedy picks. For
+/// `k == 1` that is just the single running best. Every push costs O(1)
+/// amortised for the statistics plus the cascade work of at most one
+/// window.
 ///
 /// ## Exactness contract
 ///
-/// The monitor reports exactly what [`SubseqMatcher::find_under`] would
-/// report on the concatenation of everything pushed, in two regimes:
-///
-/// * **`k == 1`** (any `tau`, including ∞): classic UCR best-match
-///   tracking — the cascade prunes against the best distance so far,
-///   which is sound for a single match;
-/// * **`k > 1` with a finite `tau`**: the cascade prunes against `tau`
-///   alone, every window at or under `tau` is scored exactly, and
-///   [`StreamMonitor::matches`] greedily selects among them — identical
-///   to the batch greedy selection restricted to `tau`.
-///
-/// For `k > 1` with `tau = ∞` no sound streaming threshold exists (a
-/// later window may displace *two* provisional matches at once, reviving
-/// windows a tighter threshold would have pruned — see DESIGN.md §9), so
-/// the monitor simply never prunes in that regime: still exact, just
-/// paying the DP for most windows. Give monitors a finite `tau`.
+/// For every `k` and every `tau` (including ∞), the monitor reports
+/// exactly what [`SubseqMatcher::find_under`] would report on the
+/// concatenation of everything pushed, bit for bit. Candidates are kept
+/// sorted by `(distance, offset)`; once `2k − 1` pairwise
+/// non-overlapping candidates exist, greedy top-k can never pick a
+/// window sorting after the last of them, whatever arrives later
+/// (DESIGN.md §9). Such windows are dropped, and that last distance (the
+/// *witness*) joins `tau` as the cascade's pruning threshold. For
+/// `k == 1` this is classic UCR best-so-far pruning.
 #[derive(Debug, Clone)]
 pub struct StreamMonitor {
     ingest: StreamIngest,
@@ -323,9 +362,11 @@ impl StreamMonitor {
     /// Pushes one sample; once at least one full window is buffered the
     /// cascade runs on the window this sample completes. Returns the
     /// window's match when its DP completed at or under the acceptance
-    /// threshold (a *candidate* — it may later be displaced by a better
-    /// overlapping one; read [`StreamMonitor::matches`] for the current
-    /// selection).
+    /// threshold and it is still selectable (a *candidate* — it may
+    /// later be displaced by a better overlapping one; read
+    /// [`StreamMonitor::matches`] for the current selection). For
+    /// `k == 1` that is a strict improvement on the best so far; a tie
+    /// sorts after it by offset and reports `None`.
     ///
     /// # Errors
     ///
@@ -359,14 +400,16 @@ impl StreamMonitor {
     }
 
     /// The current best non-overlapping matches, ascending by
-    /// `(distance, offset)` — the greedy selection over every candidate
-    /// scored so far.
+    /// `(distance, offset)` — the greedy selection over the retained
+    /// candidates, which equals the selection over every window scored
+    /// so far.
     pub fn matches(&self) -> Vec<SubseqMatch> {
         self.runtime.matches()
     }
 
     /// Candidates retained so far (diagnostics; superset of
-    /// [`StreamMonitor::matches`]).
+    /// [`StreamMonitor::matches`], at most `(2k − 1)(2E − 1)` for
+    /// exclusion distance `E`).
     pub fn candidate_count(&self) -> usize {
         self.runtime.candidate_count()
     }

@@ -458,3 +458,168 @@ fn monitor_and_bank_traces_snapshot_the_stream() {
     let back = QueryTrace::from_json_line(&line).unwrap();
     assert_eq!(back.to_json_line(), line);
 }
+
+/// Asserts two match lists agree offset for offset and bit for bit.
+fn assert_same_matches(got: &[SubseqMatch], want: &[SubseqMatch], what: &str) {
+    assert_eq!(got.len(), want.len(), "{what}: match count");
+    for (a, b) in got.iter().zip(want) {
+        assert_eq!(a.offset, b.offset, "{what}: offsets");
+        assert_eq!(
+            a.distance.to_bits(),
+            b.distance.to_bits(),
+            "{what}: distance bits at {}",
+            a.offset
+        );
+    }
+}
+
+/// Monitors with k > 1 prune against the 2k − 1 witness and drop dead
+/// candidates, yet after every chunk of an unevenly chunked stream their
+/// matches equal batch `find_under` on the prefix, bit for bit, and the
+/// retained candidates stay within (2k − 1)(2E − 1) — for standalone
+/// monitors and bank slots alike, with τ = ∞ and finite, E = 1 and E =
+/// m/2.
+#[test]
+fn topk_monitors_equal_batch_on_every_prefix_with_bounded_candidates() {
+    let ds = UcrAnalog::Trace.generate(41);
+    let query = TimeSeries::new(ds.series[0].values()[60..124].to_vec()).unwrap();
+    let hay = haystack(&ds.series[1..31]);
+    assert!(hay.len() >= 8192);
+
+    let mut specs: Vec<(SubseqMatcher, usize, f64)> = Vec::new();
+    for exclusion_frac in [0.0, 0.5] {
+        let config = StreamConfig {
+            exclusion_frac,
+            ..StreamConfig::exact_banded(0.2)
+        };
+        let matcher = SubseqMatcher::new(&query, config).unwrap();
+        // a tau admitting some but not all of the best non-overlapping
+        // windows
+        let probe = matcher.find(&hay, 4).unwrap();
+        let tau = probe.matches[2].distance;
+        for k in [2usize, 3, 5] {
+            for t in [f64::INFINITY, tau] {
+                specs.push((matcher.clone(), k, t));
+            }
+        }
+    }
+    let mut monitors: Vec<StreamMonitor> = specs
+        .iter()
+        .map(|(m, k, tau)| StreamMonitor::new(m.clone(), *k, *tau).unwrap())
+        .collect();
+    let mut bank = MonitorBank::new(
+        specs
+            .iter()
+            .map(|(m, k, tau)| BankQuery::new(m.clone(), *k, *tau)),
+    )
+    .unwrap();
+
+    let chunk_sizes = [1usize, 517, 1303, 64, 2048, 3, 977, 1500];
+    let mut pos = 0;
+    for &size in chunk_sizes.iter().cycle() {
+        if pos == hay.len() {
+            break;
+        }
+        let end = (pos + size).min(hay.len());
+        let chunk = &hay.values()[pos..end];
+        pos = end;
+        bank.process(chunk).unwrap();
+        let prefix = TimeSeries::new(hay.values()[..pos].to_vec()).unwrap();
+        for (q, ((matcher, k, tau), monitor)) in specs.iter().zip(&mut monitors).enumerate() {
+            monitor.process(chunk).unwrap();
+            let what = format!("k={k} tau={tau} E={} prefix={pos}", matcher.exclusion());
+            let batch = matcher.find_under(&prefix, *k, *tau).unwrap();
+            assert_same_matches(&monitor.matches(), &batch.matches, &what);
+            assert_same_matches(&bank.matches(q), &batch.matches, &what);
+            let bound = (2 * k - 1) * (2 * matcher.exclusion() - 1);
+            assert!(
+                monitor.candidate_count() <= bound,
+                "{what}: {} candidates over the bound {bound}",
+                monitor.candidate_count()
+            );
+            assert_eq!(bank.candidate_count(q), monitor.candidate_count(), "{what}");
+        }
+    }
+    // the witness pruned: at tau = inf the cascade did not run the DP on
+    // every window
+    for (monitor, (_, _, tau)) in monitors.iter().zip(&specs) {
+        let stats = monitor.stats();
+        assert!(stats.is_consistent());
+        if tau.is_infinite() {
+            assert!(stats.cascade.dp_completed < stats.windows / 2);
+        }
+    }
+}
+
+/// k = 1 event semantics: a window tying the running best sorts after it
+/// by offset, so `push` reports `None` for it.
+#[test]
+fn k1_monitor_reports_no_event_for_a_tie() {
+    let ds = UcrAnalog::Gun.generate(5);
+    let query = ds.series[0].clone();
+    let m = query.len();
+    // one near-copy of the query planted twice with identical samples
+    let planted: Vec<f64> = query
+        .values()
+        .iter()
+        .enumerate()
+        .map(|(i, v)| v + 0.05 * (i as f64 / 5.0).sin())
+        .collect();
+    // low ripple between the copies, a different phase each time
+    let filler = |phase: f64| (0..m).map(move |i| 0.2 * (0.3 * i as f64 + phase).sin());
+    let mut hay: Vec<f64> = filler(0.0).collect();
+    let first = hay.len();
+    hay.extend_from_slice(&planted);
+    hay.extend(filler(1.0));
+    let second = hay.len();
+    hay.extend_from_slice(&planted);
+    hay.extend(filler(2.0));
+
+    let matcher = SubseqMatcher::new(&query, StreamConfig::exact_banded(0.2)).unwrap();
+    let hay_ts = TimeSeries::new(hay.clone()).unwrap();
+    let both = matcher.find(&hay_ts, 2).unwrap().matches;
+    assert_eq!((both[0].offset, both[1].offset), (first, second));
+    assert_eq!(
+        both[0].distance.to_bits(),
+        both[1].distance.to_bits(),
+        "the copies tie exactly"
+    );
+    let batch = matcher.find(&hay_ts, 1).unwrap();
+    let mut monitor = StreamMonitor::new(matcher, 1, f64::INFINITY).unwrap();
+    let mut events = Vec::new();
+    for &v in &hay {
+        if let Some(e) = monitor.push(v).unwrap() {
+            events.push(e);
+        }
+    }
+    assert!(events.iter().any(|e| e.offset == first));
+    assert!(
+        events.iter().all(|e| e.offset != second),
+        "the tying window is no event"
+    );
+    let live = monitor.matches();
+    assert_same_matches(&live, &batch.matches, "k=1 tie");
+    assert_eq!(monitor.candidate_count(), 1);
+}
+
+/// A k so large that 2k − 1 saturates never completes the witness pass:
+/// nothing is pruned or dropped, and nothing panics.
+#[test]
+fn huge_k_monitor_does_not_overflow() {
+    let ds = UcrAnalog::Gun.generate(9);
+    let query = ds.series[0].clone();
+    let hay = haystack(&ds.series[1..4]);
+    let matcher = SubseqMatcher::new(&query, StreamConfig::exact_banded(0.2)).unwrap();
+    let batch = matcher.find(&hay, usize::MAX).unwrap();
+    let mut monitor = StreamMonitor::new(matcher.clone(), usize::MAX, f64::INFINITY).unwrap();
+    monitor.process(hay.values()).unwrap();
+    assert_same_matches(&monitor.matches(), &batch.matches, "k=MAX");
+    assert_eq!(
+        monitor.candidate_count(),
+        hay.len() - query.len() + 1,
+        "every window stays selectable"
+    );
+    let mut bank = MonitorBank::uniform([matcher], usize::MAX, f64::INFINITY).unwrap();
+    bank.process(hay.values()).unwrap();
+    assert_same_matches(&bank.matches(0), &batch.matches, "bank k=MAX");
+}

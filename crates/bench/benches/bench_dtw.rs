@@ -21,6 +21,11 @@
 //! *asserts* the lane fill wins on full grids; the measured speedup and
 //! lane width land in the `simd_lanes_guard/...` record id.
 //!
+//! `dp_batch_<N>core` pins eight single-window fills against one
+//! eight-lane batched fill (`dtw_run_batch_values`) of the same eight
+//! windows on the narrow 20% Sakoe-Chiba bands the stream sweep runs
+//! (DESIGN "Lane-batched window DP").
+//!
 //! The `trace_overhead_<N>core` group is the telemetry zero-cost guard
 //! (DESIGN §12): a disabled [`Recorder`] threaded through the hot paths
 //! must cost nothing measurable. It records the shipping disabled- and
@@ -33,8 +38,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sdtw::{ConstraintPolicy, FeatureStore, KernelChoice, SDtw, SDtwConfig};
 use sdtw_dtw::engine::{
-    dtw_full, dtw_run_options, dtw_run_options_values_pinned, dtw_run_options_values_with,
-    DtwEngine, DtwOptions, DtwScratch,
+    dtw_full, dtw_run_batch_values, dtw_run_options, dtw_run_options_values,
+    dtw_run_options_values_pinned, dtw_run_options_values_with, DtwEngine, DtwOptions, DtwScratch,
 };
 use sdtw_dtw::itakura::itakura_band;
 use sdtw_dtw::lower_bound::{
@@ -401,6 +406,54 @@ fn bench_simd_lanes(c: &mut Criterion) {
 
 /// 200 synthetic series (length 48) — big enough that the 200×200 matrix
 /// dominates over setup, small enough for a tracked baseline.
+/// Eight single-window fills against one eight-lane batched fill of the
+/// same windows — overlapping windows of one series against one query,
+/// as the stream sweep cuts them — on a 20% Sakoe-Chiba band at the
+/// `serve_socket` pattern lengths. Both run without a cutoff, so every
+/// cell is filled; the core count in the group name qualifies the ratio.
+fn bench_dp_batch(c: &mut Criterion) {
+    let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
+    let group_name = format!("dp_batch_{cores}core");
+    let mut group = c.benchmark_group(&group_name);
+    let opts = DtwOptions::default();
+    let mut scratch = DtwScratch::new();
+    for &w in &[48usize, 96, 128] {
+        let query = series(w, 0.4);
+        let hay = series(w + 2 * LANE_WIDTH, 1.1);
+        let windows: Vec<&[f64]> = (0..LANE_WIDTH)
+            .map(|l| &hay.values()[2 * l..2 * l + w])
+            .collect();
+        let band = sakoe_chiba_band(w, w, 0.2);
+        group.bench_function(&format!("single_x8/w{w}"), |b| {
+            b.iter(|| {
+                for y in &windows {
+                    black_box(dtw_run_options_values(
+                        query.values(),
+                        y,
+                        &band,
+                        &opts,
+                        None,
+                        &mut scratch,
+                    ));
+                }
+            })
+        });
+        group.bench_function(&format!("batch_x8/w{w}"), |b| {
+            b.iter(|| {
+                black_box(dtw_run_batch_values(
+                    query.values(),
+                    &windows,
+                    &band,
+                    &opts,
+                    f64::INFINITY,
+                    &mut scratch,
+                ))
+            })
+        });
+    }
+    group.finish();
+}
+
 fn distmat_corpus() -> Vec<TimeSeries> {
     (0..200usize)
         .map(|k| {
@@ -713,6 +766,7 @@ criterion_group!(
     bench_scratch_reuse,
     bench_engine_parity,
     bench_simd_lanes,
+    bench_dp_batch,
     bench_lb_batch,
     bench_api_pairwise,
     bench_api_kernel,

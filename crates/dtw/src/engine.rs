@@ -30,6 +30,16 @@
 //! * [`dtw_run_options`] — the same path driven by a serialisable
 //!   [`DtwOptions`] (its [`KernelChoice`] is dispatched once per call).
 //!
+//! Many windows against one query under one shared band take a third
+//! shape: [`dtw_run_batch_values`] fills up to [`LANE_WIDTH`] windows in
+//! one row-by-row pass, one window per [`F64Lanes`] lane, each lane
+//! running the row engine's per-cell expression (so each lane's distance
+//! and abandon decision are bit-identical to a single-window fill). It
+//! wins where the wavefront cannot fill a vector — narrow bands with
+//! fewer than [`LANE_WIDTH`] cells per anti-diagonal — and the stream
+//! sweep uses it for every fixed-band flush. It has one shape, so the
+//! `SDTW_ENGINE`/`SDTW_SIMD` selections do not steer it.
+//!
 //! The historical `dtw_banded*` entry points survive as `#[deprecated]`
 //! shims over [`dtw_run_options`] and are bit-identical to it.
 
@@ -238,6 +248,22 @@ impl DtwOptions {
         Ok(())
     }
 
+    /// An upper bound on the raw accumulated cost of any warp path
+    /// through an `n × m` grid whose paired samples differ by at most
+    /// `max_diff`: a path visits at most `n + m` cells, and each charges
+    /// at most the diagonal weight times the largest local cost plus the
+    /// amerced penalty. A finite ceiling means no fill of such a grid can
+    /// overflow to `+∞` (or reach the `∞ − ∞ = NaN` the lane layer's
+    /// bit-identity contract excludes).
+    pub fn cost_ceiling(&self, n: usize, m: usize, max_diff: f64) -> f64 {
+        let local = self.metric.eval(max_diff, 0.0);
+        let step = match self.kernel {
+            KernelChoice::Standard => self.step_pattern.diagonal_weight() * local,
+            KernelChoice::Amerced { penalty } => local + penalty,
+        };
+        (n + m) as f64 * step
+    }
+
     /// Whether `LB_Kim`/`LB_Keogh` remain admissible under the configured
     /// kernel (retrieval cascades consult this before enabling
     /// lower-bound pruning).
@@ -265,10 +291,11 @@ pub struct DtwResult {
 }
 
 /// Reusable DP buffers: the band-sparse accumulation matrix's row offsets
-/// and cell storage (row engine), plus the three rotating anti-diagonal
+/// and cell storage (row engine), the three rotating anti-diagonal
 /// buffers of the wavefront engine (which the explicit-SIMD lane sweep
 /// loads [`LANE_WIDTH`] cells at a time — plain contiguous `Vec<f64>`
-/// storage is exactly the layout the lanes want).
+/// storage is exactly the layout the lanes want), and the transposed
+/// windows and row pair of [`dtw_run_batch_values`].
 ///
 /// A [`dtw_run`] call without caller scratch allocates one internally;
 /// batch workloads (distance matrices, nearest-neighbour loops) instead
@@ -288,6 +315,11 @@ pub struct DtwScratch {
     // wavefront engine, non-staircase bands: suffix minimum of the row
     // start diagonals `i + lo_i`, rebuilt per call
     start_min: Vec<usize>,
+    // batched fill: the windows transposed column-major (one vector per
+    // column, one lane per window) and two rows of lane vectors
+    batch_y: Vec<F64Lanes>,
+    batch_prev: Vec<F64Lanes>,
+    batch_cur: Vec<F64Lanes>,
 }
 
 impl DtwScratch {
@@ -1057,6 +1089,205 @@ pub fn dtw_run_options_values_pinned(
             opts.metric,
             &AmercedKernel::new(penalty, opts.normalization),
             opts.compute_path,
+            cutoff,
+            scratch,
+        ),
+    }
+}
+
+/// Lane-batched row fill: up to [`LANE_WIDTH`] windows `ys` against one
+/// shared `xv` under one band, one window per [`F64Lanes`] lane. Every
+/// lane runs the row engine's per-cell expression through the kernel's
+/// `*_lanes` seam — `up`, `left` from a register carried along the row,
+/// `diagonal` — so each lane's cells are bit-identical to a
+/// single-window fill of that lane's window. A lane drops out once its
+/// normalised row minimum exceeds `cutoff` (the row engine's abandon
+/// rule, on the same value — `min` is order-independent over non-NaN
+/// values); the fill stops when every lane has dropped out.
+///
+/// The rows live in two full-width vectors of lane vectors with a `+∞`
+/// sentinel in slot 0 (slot `j + 1` holds column `j`), so the `up` and
+/// `diagonal` reads need no band or edge checks: every slot outside the
+/// previous row's band holds `+∞`, the value the row engine's
+/// out-of-band read returns.
+fn fill_batch<K: DtwKernel>(
+    xv: &[f64],
+    ys: &[&[f64]],
+    band: &Band,
+    metric: ElementMetric,
+    kernel: &K,
+    cutoff: f64,
+    scratch: &mut DtwScratch,
+) -> [Option<f64>; LANE_WIDTH] {
+    let (n, m) = (band.n(), band.m());
+    let inf = F64Lanes::splat(f64::INFINITY);
+    let mut out = [None; LANE_WIDTH];
+    let mut alive: [bool; LANE_WIDTH] = std::array::from_fn(|l| l < ys.len());
+    let mut yt = std::mem::take(&mut scratch.batch_y);
+    let mut prev = std::mem::take(&mut scratch.batch_prev);
+    let mut cur = std::mem::take(&mut scratch.batch_cur);
+    yt.clear();
+    // unused lanes carry zeros: finite, never read back
+    yt.extend((0..m).map(|j| F64Lanes::from_fn(|l| ys.get(l).map_or(0.0, |y| y[j]))));
+    prev.clear();
+    prev.resize(m + 1, inf);
+    cur.clear();
+    cur.resize(m + 1, inf);
+
+    // drops every lane whose normalised row minimum exceeds the cutoff;
+    // true once no lane is left
+    let mut drop_out = |row_min: F64Lanes| {
+        for (l, live) in alive.iter_mut().enumerate() {
+            if *live && kernel.normalize(row_min.lane(l), n, m) > cutoff {
+                *live = false;
+            }
+        }
+        !alive.contains(&true)
+    };
+
+    let completed = 'fill: {
+        // Row 0: cumulative along the allowed prefix (row 0 starts at
+        // column 0 after sanitisation).
+        let r = band.row(0);
+        let x0 = F64Lanes::splat(xv[0]);
+        let mut acc = inf;
+        let mut row_min = inf;
+        for j in r.lo..=r.hi {
+            let local = kernel.local_lanes(metric, x0, yt[j]);
+            acc = if j == r.lo {
+                F64Lanes::from_fn(|l| kernel.start(local.lane(l)))
+            } else {
+                kernel.left_lanes(acc, local)
+            };
+            prev[j + 1] = acc;
+            row_min = row_min.min(acc);
+        }
+        if drop_out(row_min) {
+            break 'fill false;
+        }
+        // `cur` still holds row i - 2 over `stale` (nothing yet)
+        let mut stale = (1usize, 0usize);
+        for (i, &x) in xv.iter().enumerate().skip(1) {
+            let r = band.row(i);
+            // reset the stale cells this row will not overwrite, so every
+            // slot outside row i's band reads +inf once it becomes `prev`
+            for j in stale.0..r.lo.min(stale.1 + 1) {
+                cur[j + 1] = inf;
+            }
+            for j in stale.0.max(r.hi + 1)..=stale.1 {
+                cur[j + 1] = inf;
+            }
+            let xi = F64Lanes::splat(x);
+            let mut left = inf;
+            let mut row_min = inf;
+            let parents = &prev[r.lo..=r.hi + 1];
+            let cols = &yt[r.lo..=r.hi];
+            for ((dst, y), pair) in cur[r.lo + 1..=r.hi + 1]
+                .iter_mut()
+                .zip(cols)
+                .zip(parents.windows(2))
+            {
+                let local = kernel.local_lanes(metric, xi, *y);
+                let (diag, up) = (pair[0], pair[1]);
+                let v = kernel
+                    .up_lanes(up, local)
+                    .min(kernel.left_lanes(left, local))
+                    .min(kernel.diagonal_lanes(diag, local));
+                *dst = v;
+                left = v;
+                row_min = row_min.min(v);
+            }
+            if drop_out(row_min) {
+                break 'fill false;
+            }
+            let done = band.row(i - 1);
+            stale = (done.lo, done.hi);
+            std::mem::swap(&mut prev, &mut cur);
+        }
+        true
+    };
+    if completed {
+        let corner = prev[m];
+        for (l, slot) in out.iter_mut().enumerate() {
+            if alive[l] {
+                let distance = kernel.normalize(corner.lane(l), n, m);
+                // a completed lane can still land over the cutoff
+                if distance <= cutoff {
+                    *slot = Some(distance);
+                }
+            }
+        }
+    }
+    scratch.batch_y = yt;
+    scratch.batch_prev = prev;
+    scratch.batch_cur = cur;
+    out
+}
+
+/// Lane-batched early-abandoned DTW: up to [`LANE_WIDTH`] windows `ys`
+/// against one shared `xv` under one band and one set of options, in a
+/// single row-by-row pass with one window per [`F64Lanes`] lane.
+///
+/// Lane `l` of the result is bit-identical to
+/// `dtw_run_options_values(xv, ys[l], band, opts, Some(cutoff), …)`
+/// mapped to its distance: `Some(d)` with the same bits when `d <=
+/// cutoff`, `None` exactly when the single-window distance exceeds
+/// `cutoff` (a tie never abandons). Lanes past `ys.len()` are `None`.
+/// Every lane runs the row engine's per-cell expression through the
+/// kernel's `*_lanes` seam, so neither `SDTW_ENGINE` nor `SDTW_SIMD`
+/// steers this fill; `opts.compute_path` is ignored (no warp path is
+/// traced). An infinite `cutoff` never abandons.
+///
+/// This is the fill that pays off when the band is narrow: a
+/// single-window wavefront sweeps fewer than [`LANE_WIDTH`] cells per
+/// anti-diagonal there, while this fill always runs full vectors.
+///
+/// # Panics
+///
+/// Panics when `ys` is empty or holds more than [`LANE_WIDTH`] windows,
+/// on an empty `xv`, on a dimension mismatch, or on an invalid amerced
+/// penalty (programmer errors).
+pub fn dtw_run_batch_values(
+    xv: &[f64],
+    ys: &[&[f64]],
+    band: &Band,
+    opts: &DtwOptions,
+    cutoff: f64,
+    scratch: &mut DtwScratch,
+) -> [Option<f64>; LANE_WIDTH] {
+    assert!(
+        (1..=LANE_WIDTH).contains(&ys.len()),
+        "a batch holds 1..={LANE_WIDTH} windows, got {}",
+        ys.len()
+    );
+    assert!(!xv.is_empty(), "series must be non-empty");
+    assert_eq!(band.n(), xv.len(), "band rows must match |X|");
+    for y in ys {
+        assert_eq!(band.m(), y.len(), "band cols must match every |Y|");
+    }
+    let sanitized;
+    let band = if band.is_feasible() {
+        band
+    } else {
+        sanitized = band.sanitize();
+        &sanitized
+    };
+    match opts.kernel {
+        KernelChoice::Standard => fill_batch(
+            xv,
+            ys,
+            band,
+            opts.metric,
+            &StandardKernel::new(opts.step_pattern, opts.normalization),
+            cutoff,
+            scratch,
+        ),
+        KernelChoice::Amerced { penalty } => fill_batch(
+            xv,
+            ys,
+            band,
+            opts.metric,
+            &AmercedKernel::new(penalty, opts.normalization),
             cutoff,
             scratch,
         ),

@@ -145,13 +145,16 @@ impl F64Lanes {
         Self::from_fn(|l| self.0[l].abs())
     }
 
-    /// Lanewise minimum by compare-and-select (`vminpd` shape). Equals
+    /// Lanewise minimum by compare-and-select in the operand order of
+    /// x86 `minpd` (`a < b ? a : b`), so it compiles to one instruction
+    /// per register instead of a compare/and/andnot/or blend. Equals
     /// `f64::min` bitwise on non-NaN inputs without mixed-sign zeros —
-    /// the only values the DP and the bounds produce (module docs).
+    /// the only values the DP and the bounds produce (module docs); on
+    /// equal inputs either operand is the same bits.
     #[inline(always)]
     pub fn min(self, rhs: Self) -> Self {
         Self::from_fn(|l| {
-            if self.0[l] <= rhs.0[l] {
+            if self.0[l] < rhs.0[l] {
                 self.0[l]
             } else {
                 rhs.0[l]
@@ -159,12 +162,12 @@ impl F64Lanes {
         })
     }
 
-    /// Lanewise maximum by compare-and-select (`vmaxpd` shape); same
-    /// equivalence caveats as [`F64Lanes::min`].
+    /// Lanewise maximum by compare-and-select in `maxpd` operand order
+    /// (`a > b ? a : b`); same equivalence caveats as [`F64Lanes::min`].
     #[inline(always)]
     pub fn max(self, rhs: Self) -> Self {
         Self::from_fn(|l| {
-            if self.0[l] >= rhs.0[l] {
+            if self.0[l] > rhs.0[l] {
                 self.0[l]
             } else {
                 rhs.0[l]

@@ -24,7 +24,9 @@ pub enum TracePhase {
     LbKeogh,
     /// The reversed LB_Keogh second-chance bound.
     LbKeoghRev,
-    /// Banded DP fill (completed and early-abandoned runs alike).
+    /// Banded DP fill (completed and early-abandoned runs alike). One
+    /// span per fill call: a lane-batched stream flush records one span
+    /// for all its windows.
     DpFill,
     /// Top-k selection / cross-shard result merge.
     TopKMerge,

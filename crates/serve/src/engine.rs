@@ -97,6 +97,10 @@ pub struct ServeEngine {
     matchers: Mutex<HashMap<Vec<u64>, Arc<SubseqMatcher>>>,
     /// Total corpus samples (the trace's `y_len`).
     corpus_samples: u64,
+    /// Largest `|sample|` of any stored entry (from the entry
+    /// summaries) — what bounds a raw-mode window in the finite-cost
+    /// contract.
+    corpus_abs_max: f64,
 }
 
 impl ServeEngine {
@@ -119,12 +123,16 @@ impl ServeEngine {
         };
         stream_cfg.validate()?;
         let corpus_samples = index.entries().iter().map(|e| e.series.len() as u64).sum();
+        let corpus_abs_max = index.entries().iter().fold(0.0f64, |acc, e| {
+            acc.max(e.summary.min.abs()).max(e.summary.max.abs())
+        });
         Ok(ServeEngine {
             index: Arc::new(index),
             stream_cfg,
             cfg,
             matchers: Mutex::new(HashMap::new()),
             corpus_samples,
+            corpus_abs_max,
         })
     }
 
@@ -175,6 +183,38 @@ impl ServeEngine {
         Ok(matcher)
     }
 
+    /// The finite-cost contract: a pattern is served only when every DP
+    /// it can reach stays finite. [`SubseqMatcher::new`] already refused
+    /// a pattern whose prepared (possibly z-normalised) samples are not
+    /// finite; here the [`cost_ceiling`] of a pattern-sized
+    /// grid must be finite, with a factor-2 margin for rounding, when
+    /// window samples are bounded by the entry summaries (raw mode) or
+    /// by `√m`, the largest z-score of any `m`-sample window
+    /// (z-normalised mode). O(m) per request.
+    ///
+    /// [`cost_ceiling`]: sdtw_dtw::engine::DtwOptions::cost_ceiling
+    fn check_finite_cost(&self, matcher: &SubseqMatcher) -> Result<(), TsError> {
+        let q = matcher.query_values();
+        let m = q.len();
+        let max_x = q.iter().fold(0.0f64, |acc, v| acc.max(v.abs()));
+        let max_y = if self.stream_cfg.z_normalize {
+            (m as f64).sqrt()
+        } else {
+            self.corpus_abs_max
+        };
+        let ceiling = self.stream_cfg.sdtw.dtw.cost_ceiling(m, m, max_x + max_y);
+        if !(2.0 * ceiling).is_finite() {
+            return Err(TsError::InvalidParameter {
+                name: "values",
+                reason: format!(
+                    "pattern magnitude {max_x:e} against corpus magnitude {max_y:e} \
+                     overflows the DTW cost; distances would not be finite"
+                ),
+            });
+        }
+        Ok(())
+    }
+
     /// Answers one request (allocates a fresh scratch; long-lived
     /// workers should hold one and call
     /// [`ServeEngine::answer_with_scratch`]).
@@ -220,7 +260,8 @@ impl ServeEngine {
     /// # Errors
     ///
     /// Request validation (`k == 0` after defaulting, NaN/negative
-    /// `tau`, invalid pattern samples, a `Shutdown` op) and engine
+    /// `tau`, invalid pattern samples, a pattern that breaks the
+    /// finite-cost contract, a `Shutdown` op) and engine
     /// errors (feature extraction under adaptive policies).
     pub fn answer_detailed(
         &self,
@@ -273,6 +314,7 @@ impl ServeEngine {
         });
 
         let matcher = self.matcher_for(&req.values)?;
+        self.check_finite_cost(&matcher)?;
         let query = TimeSeries::new(req.values.to_vec())?;
         // Level 1a: coarse visit order from the index's stage-1 screen
         // (whole-recording bounds — ranking only, never pruning).

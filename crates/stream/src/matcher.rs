@@ -8,13 +8,13 @@ use sdtw::{DtwScratch, SDtw};
 use sdtw_dtw::cascade::{
     Cascade, CascadeScratch, CascadeStats, CoarseEnvelope, PruneStage, SampleInput, StageKind,
 };
-use sdtw_dtw::engine::{DtwEngine, Normalization};
+use sdtw_dtw::engine::{dtw_run_batch_values, DtwEngine, Normalization};
 use sdtw_dtw::lower_bound::{lb_keogh_batch_windows, lb_kim, Envelope, SeriesSummary, LB_LANES};
 use sdtw_dtw::Band;
 use sdtw_obs::{InputShape, QueryTrace, Recorder, SpanRecord, TracePhase, WorkloadKind};
 use sdtw_salient::{extract_features, SalientFeature};
 use sdtw_tseries::stats::WindowedStats;
-use sdtw_tseries::transform::{z_normalize, z_normalize_values};
+use sdtw_tseries::transform::z_normalize_values;
 use sdtw_tseries::{TimeSeries, TsError};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -113,17 +113,22 @@ pub(crate) enum WindowVerdict {
 /// 3. **LB_Keogh** — the exactly-normalised window against the query
 ///    envelope (when the band sits inside the envelope window);
 /// 4. **early-abandoned banded DP** — the zero-copy
-///    [`SDtw::query_window`] builder path, cut off at the best-so-far.
+///    [`SDtw::query_window`] builder path, cut off at the best-so-far;
+///    in the batch sweeps under an alignment-free policy, one
+///    [`dtw_run_batch_values`] pass fills every queued survivor, one
+///    window per lane (DESIGN.md "Lane-batched window DP").
 ///
 /// All stages execute through the workspace-shared
 /// [`sdtw_dtw::cascade::Cascade`] pipeline — the same runner
 /// `sdtw_index` queries use. The batch sweeps additionally park Kim
 /// survivors in a deferred queue of up to [`LB_LANES`] windows so their
 /// forward LB_Keogh bounds compute as one [`lb_keogh_batch_windows`]
-/// lane pass; every pruning *decision* still happens sequentially in
-/// sweep order against a fresh best-so-far threshold, which keeps
-/// matches bit-identical to the fully serial sweep (the streaming
-/// monitor path never defers).
+/// lane pass, and — when the windows share the fixed band — their DP as
+/// one lane-batched fill cut off at the flush-start threshold; every
+/// pruning *decision* still happens sequentially in sweep order against
+/// a fresh best-so-far threshold, which keeps matches, the completed-
+/// distance cache and every counter bit-identical to the fully serial
+/// sweep (the streaming monitor path never defers).
 ///
 /// Results are **exact**: offsets and bit-identical distances to
 /// brute-forcing the same engine over every window and greedily picking
@@ -167,7 +172,14 @@ impl SubseqMatcher {
         config.validate()?;
         let engine = SDtw::new(config.sdtw.clone())?;
         let prepared = if config.z_normalize {
-            z_normalize(query)
+            // samples near the f64 range overflow the moments: refuse
+            // with a typed error rather than prepare a non-finite query
+            let mut values = Vec::with_capacity(query.len());
+            z_normalize_values(query.values(), &mut values);
+            TimeSeries::new(values).map_err(|e| TsError::InvalidParameter {
+                name: "query",
+                reason: format!("z-normalisation overflows ({e})"),
+            })?
         } else {
             query.clone()
         };
@@ -730,6 +742,43 @@ impl SubseqMatcher {
         rec: &mut Recorder,
         areas: &mut (u64, u64),
     ) -> Result<WindowVerdict, TsError> {
+        if let Some(kind) = self.screen_window(
+            wv,
+            band,
+            y_keogh_raw,
+            threshold,
+            cascade_scratch,
+            stats,
+            rec,
+        ) {
+            return Ok(WindowVerdict::Pruned(kind));
+        }
+        let outcome = rec.time(TracePhase::DpFill, || {
+            self.engine
+                .query_window(&self.query, wv)
+                .band(band)
+                .cutoff(threshold)
+                .path(false)
+                .scratch(dtw)
+                .run()
+        })?;
+        Ok(self.charge_dp(band, outcome.map(|r| r.distance), stats, areas))
+    }
+
+    /// The counted sample-phase screen of one prepared window: the
+    /// coarse PAA pre-filter and both LB_Keogh directions, all
+    /// attributed to the LbKeogh span. Returns the pruning stage.
+    #[allow(clippy::too_many_arguments)]
+    fn screen_window(
+        &self,
+        wv: &[f64],
+        band: &Band,
+        y_keogh_raw: Option<f64>,
+        threshold: f64,
+        cascade_scratch: &mut CascadeScratch,
+        stats: &mut CascadeStats,
+        rec: &mut Recorder,
+    ) -> Option<StageKind> {
         let input = SampleInput {
             x: wv,
             y: &self.query,
@@ -738,34 +787,33 @@ impl SubseqMatcher {
             x_envelope: None,
             y_coarse: self.query_coarse.as_ref(),
         };
-        // the sample-phase screen covers the coarse PAA pre-filter and
-        // both LB_Keogh directions; all attributed to the LbKeogh span
-        if let Some(kind) = rec.time(TracePhase::LbKeogh, || {
+        rec.time(TracePhase::LbKeogh, || {
             self.cascade
                 .screen_samples(stats, &input, band, threshold, cascade_scratch)
-        }) {
-            return Ok(WindowVerdict::Pruned(kind));
-        }
+        })
+    }
+
+    /// Accounts one DP-entering window and turns its outcome (`None` =
+    /// abandoned against the threshold) into a verdict.
+    fn charge_dp(
+        &self,
+        band: &Band,
+        distance: Option<f64>,
+        stats: &mut CascadeStats,
+        areas: &mut (u64, u64),
+    ) -> WindowVerdict {
         areas.0 += band.area() as u64;
         areas.1 += (self.m * self.m) as u64;
-        match rec.time(TracePhase::DpFill, || {
-            self.engine
-                .query_window(&self.query, wv)
-                .band(band)
-                .cutoff(threshold)
-                .path(false)
-                .scratch(dtw)
-                .run()
-        })? {
+        match distance {
             None => {
                 // the abandoning run still paid for part of the grid;
                 // charge the full band conservatively (as the index does)
                 stats.record_abandoned(band.area());
-                Ok(WindowVerdict::Abandoned)
+                WindowVerdict::Abandoned
             }
-            Some(r) => {
-                stats.record_completed(r.cells_filled);
-                Ok(WindowVerdict::Completed(r.distance))
+            Some(d) => {
+                stats.record_completed(band.area());
+                WindowVerdict::Completed(d)
             }
         }
     }
@@ -819,6 +867,8 @@ impl SubseqMatcher {
     /// implementation ([`z_normalize_values`] — bit-identical to the
     /// [`z_normalize`] series path by construction), or passes it
     /// through untouched in raw mode.
+    ///
+    /// [`z_normalize`]: sdtw_tseries::transform::z_normalize
     pub(crate) fn normalize_window<'a>(&self, raw: &'a [f64], buf: &'a mut Vec<f64>) -> &'a [f64] {
         if !self.config.z_normalize {
             return raw;
@@ -1067,6 +1117,25 @@ impl ShardScan {
     /// applicability itself and falls back to the scalar bound when no
     /// precomputed value is present, so the predicate here is a
     /// performance filter, not a correctness gate.
+    ///
+    /// When the queued windows share the matcher's `fixed_band`, their
+    /// DP also runs batched, in three steps (DESIGN.md "Lane-batched
+    /// window DP"):
+    ///
+    /// 1. pick as lanes every window whose batched LB_Keogh bound does
+    ///    not exceed the flush-start threshold `t0` (uncounted; the PAA
+    ///    bound never exceeds it, so this is the sample-phase pick);
+    /// 2. fill all lanes in one [`dtw_run_batch_values`] pass cut off at
+    ///    `t0`;
+    /// 3. decide each window in FIFO order with the counted sample
+    ///    screen against the fresh threshold, then read its lane: a
+    ///    distance over the fresh threshold, or a lane that dropped out
+    ///    at `t0`, is the `Abandoned` the serial DP would report.
+    ///
+    /// `t0` can only sit at or above every fresh threshold, so a window
+    /// the fresh screen keeps was always picked, and each verdict, the
+    /// completed-distance cache and every counter match the serial sweep
+    /// bit for bit. Adaptive-band windows keep the single-window DP.
     #[allow(clippy::too_many_arguments)]
     fn flush_pending(
         matcher: &SubseqMatcher,
@@ -1092,13 +1161,19 @@ impl ShardScan {
                 None => &xv[cand.w..cand.w + matcher.m],
             }
         };
+        // Some(band) ⇔ every queued window shares it: the batched DP path
+        let shared = matcher.fixed_band.as_ref();
+        let t0 = best.map_or(tau, |(d, _)| d.min(tau));
         let mut pre: [Option<f64>; LB_LANES] = [None; LB_LANES];
+        // lane_of[p]: the DP lane of queued window p, when it was picked
+        let mut lane_of: [Option<usize>; LB_LANES] = [None; LB_LANES];
+        let mut picked: Vec<&[f64]> = Vec::with_capacity(LB_LANES);
         if matcher.bounds_ok {
             rec.time(TracePhase::LbKeogh, || {
                 let mut slots: Vec<usize> = Vec::with_capacity(pending.len());
                 let mut views: Vec<&[f64]> = Vec::with_capacity(pending.len());
                 for (p, cand) in pending.iter().enumerate() {
-                    let band = cand.band.as_ref().or(matcher.fixed_band.as_ref());
+                    let band = cand.band.as_ref().or(shared);
                     if band.is_some_and(|b| b.within_window(matcher.radius)) {
                         slots.push(p);
                         views.push(window_of(cand));
@@ -1116,28 +1191,73 @@ impl ShardScan {
                 }
             });
         }
-        for (p, cand) in pending.drain(..).enumerate() {
-            let wv: &[f64] = match cand.lane {
-                Some(l) => &lanes[l],
-                None => &xv[cand.w..cand.w + matcher.m],
-            };
-            let band = cand
-                .band
-                .as_ref()
-                .or(matcher.fixed_band.as_ref())
-                .expect("adaptive windows carry a planned band");
+        if shared.is_some() {
+            // The pick reads only the batched LB_Keogh bound and counts
+            // nothing. The PAA bound never exceeds LB_Keogh and applies
+            // under the same radius, so the full sample screen at `t0`
+            // would pick the same set; any pick at least that loose keeps
+            // every window the fresh screen below lets through.
+            for (p, cand) in pending.iter().enumerate() {
+                if pre[p].is_none_or(|raw| matcher.normalize_bound(raw) <= t0) {
+                    lane_of[p] = Some(picked.len());
+                    picked.push(window_of(cand));
+                }
+            }
+        }
+        let filled = match shared {
+            Some(band) if !picked.is_empty() => rec.time(TracePhase::DpFill, || {
+                dtw_run_batch_values(
+                    &matcher.query,
+                    &picked,
+                    band,
+                    &matcher.config.sdtw.dtw,
+                    t0,
+                    dtw,
+                )
+            }),
+            _ => [None; LB_LANES],
+        };
+        for (p, cand) in pending.iter().enumerate() {
+            let wv = window_of(cand);
             let threshold = best.map_or(tau, |(d, _)| d.min(tau));
-            let verdict = matcher.finish_window(
-                wv,
-                band,
-                pre[p],
-                threshold,
-                dtw,
-                cascade_scratch,
-                stats,
-                rec,
-                areas,
-            )?;
+            let verdict = match shared {
+                Some(band) => {
+                    match matcher.screen_window(
+                        wv,
+                        band,
+                        pre[p],
+                        threshold,
+                        cascade_scratch,
+                        stats,
+                        rec,
+                    ) {
+                        Some(kind) => WindowVerdict::Pruned(kind),
+                        None => {
+                            let lane = lane_of[p]
+                                .expect("a window the fresh screen keeps passed the stale one");
+                            let distance = filled[lane].filter(|&d| d <= threshold);
+                            matcher.charge_dp(band, distance, stats, areas)
+                        }
+                    }
+                }
+                None => {
+                    let band = cand
+                        .band
+                        .as_ref()
+                        .expect("adaptive windows carry a planned band");
+                    matcher.finish_window(
+                        wv,
+                        band,
+                        pre[p],
+                        threshold,
+                        dtw,
+                        cascade_scratch,
+                        stats,
+                        rec,
+                        areas,
+                    )?
+                }
+            };
             if let WindowVerdict::Completed(d) = verdict {
                 computed.insert(cand.w, d);
                 if d <= tau && SubseqMatcher::better(d, cand.w, best) {
@@ -1145,6 +1265,7 @@ impl ShardScan {
                 }
             }
         }
+        pending.clear();
         Ok(())
     }
 }
@@ -1153,6 +1274,7 @@ impl ShardScan {
 mod tests {
     use super::*;
     use crate::monitor::StreamMonitor;
+    use sdtw_tseries::transform::z_normalize;
 
     fn ts(v: Vec<f64>) -> TimeSeries {
         TimeSeries::new(v).unwrap()
@@ -1293,6 +1415,20 @@ mod tests {
             ..StreamConfig::default()
         };
         assert!(SubseqMatcher::new(&query, bad).is_err());
+    }
+
+    #[test]
+    fn a_query_whose_z_normalisation_overflows_is_a_typed_error() {
+        // finite samples whose running sum overflows to ±inf
+        let q = ts(vec![1e308, -1e308, 1e308, 1e308, -1e308, 1e308, 0.0, 1.0]);
+        let cfg = StreamConfig {
+            z_normalize: true,
+            ..StreamConfig::exact_banded(0.2)
+        };
+        match SubseqMatcher::new(&q, cfg) {
+            Err(TsError::InvalidParameter { name, .. }) => assert_eq!(name, "query"),
+            other => panic!("expected a typed error, got {other:?}"),
+        }
     }
 
     #[test]

@@ -156,16 +156,25 @@ fn write_string(out: &mut String, s: &str) {
 
 // ------------------------------------------------------------------ parser
 
+/// Deepest array/object nesting [`parse`] accepts (the limit real
+/// `serde_json` applies). The parser recurses once per level, so without
+/// a limit a hostile line of nested `[` overflows the stack.
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open.
+    depth: usize,
 }
 
-/// Parses JSON text into a [`Value`].
+/// Parses JSON text into a [`Value`]. Nesting deeper than [`MAX_DEPTH`]
+/// is a parse error.
 pub fn parse(text: &str) -> Result<Value> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -218,8 +227,8 @@ impl<'a> Parser<'a> {
             Some(b't') if self.eat_keyword("true") => Ok(Value::Bool(true)),
             Some(b'f') if self.eat_keyword("false") => Ok(Value::Bool(false)),
             Some(b'"') => self.string().map(Value::String),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
             Some(b) => Err(Error(format!(
                 "unexpected `{}` at byte {}",
@@ -227,6 +236,21 @@ impl<'a> Parser<'a> {
             ))),
             None => Err(Error("unexpected end of input".into())),
         }
+    }
+
+    /// Parses one array or object one level deeper, refusing to go past
+    /// [`MAX_DEPTH`].
+    fn nested(&mut self, inner: fn(&mut Self) -> Result<Value>) -> Result<Value> {
+        if self.depth == MAX_DEPTH {
+            return Err(Error(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        let v = inner(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Value> {
@@ -487,5 +511,25 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("nul").is_err());
         assert!(parse("1 2").is_err());
+    }
+
+    #[test]
+    fn nesting_is_limited_instead_of_overflowing_the_stack() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.to_string().contains("nesting"), "{err}");
+        // far past any stack: an unterminated line of 100 000 `[`
+        assert!(parse(&"[".repeat(100_000)).is_err());
+        let objects = format!(
+            "{}1{}",
+            "{\"a\":".repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert!(parse(&objects).is_err());
+        assert!(
+            parse("[[1],{\"a\":[2]}]").is_ok(),
+            "depth returns to zero between siblings"
+        );
     }
 }

@@ -10,7 +10,9 @@
 //!
 //! The same harness drives the edge cases: degenerate lengths, bands
 //! wider than the grid, all-equal series (maximal tie-path ambiguity),
-//! non-staircase bands, and non-finite-input rejection.
+//! non-staircase bands, and non-finite-input rejection — and the
+//! lane-batched fill, whose every lane must equal the single-window fill
+//! bit for bit.
 
 mod common;
 
@@ -18,12 +20,12 @@ use common::{structured_series, TestRng};
 use sdtw_suite::core::{ConstraintPolicy, SDtw, SDtwConfig};
 use sdtw_suite::dtw::band::ColRange;
 use sdtw_suite::dtw::engine::{
-    dtw_run_options_values_pinned, DtwEngine, DtwOptions, DtwResult, DtwScratch, Normalization,
-    StepPattern,
+    dtw_run_batch_values, dtw_run_options_values, dtw_run_options_values_pinned, DtwEngine,
+    DtwOptions, DtwResult, DtwScratch, Normalization, StepPattern,
 };
 use sdtw_suite::dtw::itakura::itakura_band;
 use sdtw_suite::dtw::sakoe::sakoe_chiba_band;
-use sdtw_suite::dtw::simd::SimdMode;
+use sdtw_suite::dtw::simd::{SimdMode, LANE_WIDTH};
 use sdtw_suite::dtw::{Band, KernelChoice};
 use sdtw_suite::salient::extract_features;
 use sdtw_suite::tseries::{TimeSeries, TsError};
@@ -327,4 +329,151 @@ fn env_selection_and_explicit_override_agree() {
         .unwrap();
     assert_eq!(wave.distance.to_bits(), rows.distance.to_bits());
     assert_eq!(wave.cells_filled, rows.cells_filled);
+}
+
+/// Every kernel of the grid under both normalisations.
+fn batch_kernel_grid() -> Vec<(String, DtwOptions)> {
+    let mut out = Vec::new();
+    for (kname, opts) in kernel_grid() {
+        for normalization in [Normalization::None, Normalization::LengthSum] {
+            out.push((
+                format!("{kname}/{normalization:?}"),
+                DtwOptions {
+                    normalization,
+                    ..opts
+                },
+            ));
+        }
+    }
+    out
+}
+
+/// Asserts that every lane of one batched fill equals the single-window
+/// fill of its window bit for bit — `None` exactly when that window's
+/// distance exceeds the cutoff — and that unused lanes stay `None`.
+fn assert_batch_matches_single(
+    xv: &[f64],
+    ys: &[&[f64]],
+    band: &Band,
+    opts: &DtwOptions,
+    cutoff: f64,
+    scratch: &mut DtwScratch,
+    label: &str,
+) {
+    let batch = dtw_run_batch_values(xv, ys, band, opts, cutoff, scratch);
+    for (l, &got) in batch.iter().enumerate() {
+        let Some(y) = ys.get(l) else {
+            assert_eq!(got, None, "unused lane {l} must stay empty [{label}]");
+            continue;
+        };
+        let full = dtw_run_options_values(xv, y, band, opts, None, scratch)
+            .expect("no cutoff cannot abandon")
+            .distance;
+        let single =
+            dtw_run_options_values(xv, y, band, opts, Some(cutoff), scratch).map(|r| r.distance);
+        assert_eq!(
+            got.map(f64::to_bits),
+            single.map(f64::to_bits),
+            "lane {l} diverged from the single-window fill [{label}]: {got:?} vs {single:?}"
+        );
+        assert_eq!(
+            got.is_none(),
+            full > cutoff,
+            "lane {l} abandon decision [{label}]: distance {full}, cutoff {cutoff}"
+        );
+    }
+}
+
+#[test]
+fn batched_fill_matches_single_window_fills_per_lane() {
+    let mut rng = TestRng::new(0xBA7C_4ED0);
+    let mut scratch = DtwScratch::new();
+    for (n, m) in [(40, 40), (33, 47)] {
+        let x: Vec<f64> = (0..n).map(|_| rng.f64_in(-2.0, 2.0)).collect();
+        // overlapping windows of one haystack, as the stream sweep cuts them
+        let hay: Vec<f64> = (0..m + 3 * LANE_WIDTH)
+            .map(|t| (t as f64 / 5.0).sin() + rng.f64_in(-0.5, 0.5))
+            .collect();
+        let windows: Vec<&[f64]> = (0..LANE_WIDTH).map(|l| &hay[3 * l..3 * l + m]).collect();
+        let mut bands: Vec<(String, Band)> = [0.05, 0.1, 0.2, 0.5]
+            .iter()
+            .map(|&w| (format!("sakoe {w}"), sakoe_chiba_band(n, m, w)))
+            .collect();
+        bands.push(("itakura".into(), itakura_band(n, m, 2.0)));
+        bands.push(("full".into(), Band::full(n, m)));
+        for (bname, band) in &bands {
+            for (kname, opts) in batch_kernel_grid() {
+                for live in 1..=LANE_WIDTH {
+                    let ys = &windows[..live];
+                    let dists: Vec<f64> = ys
+                        .iter()
+                        .map(|y| {
+                            dtw_run_options_values(&x, y, band, &opts, None, &mut scratch)
+                                .expect("no cutoff cannot abandon")
+                                .distance
+                        })
+                        .collect();
+                    let mut sorted = dists.clone();
+                    sorted.sort_by(f64::total_cmp);
+                    let cutoffs = [
+                        ("inf", f64::INFINITY),
+                        // below the median: some lanes drop out, some finish
+                        ("tight", sorted[live / 2] * 0.999),
+                        // equal to one lane's distance: that lane must survive
+                        ("tie", dists[live - 1]),
+                    ];
+                    for (cname, cutoff) in cutoffs {
+                        let label = format!("{n}x{m} {bname} {kname} lanes {live} cutoff {cname}");
+                        assert_batch_matches_single(
+                            &x,
+                            ys,
+                            band,
+                            &opts,
+                            cutoff,
+                            &mut scratch,
+                            &label,
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn batched_fill_handles_non_staircase_and_infeasible_bands() {
+    let x: Vec<f64> = (0..4).map(|i| i as f64).collect();
+    let ys: Vec<Vec<f64>> = (0..3)
+        .map(|s| (0..5).map(|i| (i + s) as f64 * 0.5).collect())
+        .collect();
+    let views: Vec<&[f64]> = ys.iter().map(Vec::as_slice).collect();
+    let non_staircase = Band::from_ranges(
+        4,
+        5,
+        vec![
+            ColRange::new(0, 4),
+            ColRange::new(3, 4),
+            ColRange::new(1, 4),
+            ColRange::new(2, 4),
+        ],
+    );
+    // a band that misses the corner is sanitised exactly as the
+    // single-window entry points sanitise it
+    let infeasible = Band::from_ranges(4, 5, vec![ColRange::new(0, 0); 4]);
+    let mut scratch = DtwScratch::new();
+    for band in [non_staircase, infeasible] {
+        for (kname, opts) in batch_kernel_grid() {
+            for cutoff in [f64::INFINITY, 1.0, 1e9] {
+                assert_batch_matches_single(
+                    &x,
+                    &views,
+                    &band,
+                    &opts,
+                    cutoff,
+                    &mut scratch,
+                    &format!("odd band {kname} cutoff {cutoff}"),
+                );
+            }
+        }
+    }
 }

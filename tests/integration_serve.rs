@@ -320,3 +320,53 @@ fn serve_results_are_shard_invariant() {
         }
     }
 }
+
+/// Hostile request lines get an `ok = false` answer and the daemon keeps
+/// serving: a line nested far past any parser stack, and a pattern whose
+/// DTW cost overflows (it would otherwise answer `ok = true` with a
+/// `null` distance).
+#[test]
+fn hostile_lines_are_answered_and_the_daemon_keeps_serving() {
+    let ds = UcrAnalog::Gun.generate(5);
+    let corpus = corpus_from(&ds, 3, 2);
+    let overflowing = vec![
+        1e308, -1e308, 1e308, 1e308, -1e308, 1e308, 0.0, 1.0, 2.0, 3.0,
+    ];
+    for z_norm in [true, false] {
+        let config = IndexConfig {
+            z_normalize: z_norm,
+            ..IndexConfig::exact_banded(0.2)
+        };
+        let index = SdtwIndex::build(&corpus, config).unwrap();
+        let engine = ServeEngine::new(index, ServeConfig::default()).unwrap();
+        let valid = ServeRequest::query("valid", ds.series[0].values()[..40].to_vec(), 3);
+        let input = format!(
+            "{}\n{}\n{}\n",
+            "[".repeat(100_000),
+            ServeRequest::query("overflow", overflowing.clone(), 3).to_json_line(),
+            valid.to_json_line()
+        );
+        let mut out = Vec::new();
+        sdtw_suite::serve::run_pipe(&engine, input.as_bytes(), &mut out, 4).unwrap();
+        let resps: Vec<ServeResponse> = String::from_utf8(out)
+            .unwrap()
+            .lines()
+            .map(|l| ServeResponse::from_json_line(l).unwrap())
+            .collect();
+        assert_eq!(resps.len(), 3, "one answer per line (z_norm {z_norm})");
+        assert!(!resps[0].ok, "nested line must be refused");
+        assert!(resps[0].error.contains("nesting"), "{}", resps[0].error);
+        assert!(!resps[1].ok, "overflowing pattern must be refused");
+        assert_eq!(resps[1].id, "overflow");
+        assert!(resps[1].hits.is_empty());
+        assert!(resps[2].ok, "{}", resps[2].error);
+        assert!(resps[2].hits.iter().all(|h| h.distance.is_finite()));
+        // the contract is the engine's, not the transport's
+        let (direct, _) = engine.answer(&ServeRequest::query("direct", overflowing.clone(), 1));
+        assert!(
+            !direct.ok && direct.error.contains("overflow"),
+            "{}",
+            direct.error
+        );
+    }
+}

@@ -623,3 +623,66 @@ fn huge_k_monitor_does_not_overflow() {
     bank.process(hay.values()).unwrap();
     assert_same_matches(&bank.matches(0), &batch.matches, "bank k=MAX");
 }
+
+/// The counter record of one seeded batch search: `(windows, passes,
+/// skipped_excluded, cache_hits, candidates, pruned_kim, pruned_paa,
+/// pruned_keogh, abandoned, dp_completed, cells_filled)`.
+type StreamCounters = (u64, u32, u64, u64, u64, u64, u64, u64, u64, u64, u64);
+
+/// Runs the seeded fixed-band searches the golden counters pin: z-norm
+/// sym1 at τ = ∞ (k = 3), raw amerced (k = 2), and z-norm normalised
+/// sym2 under a finite τ (k = 4).
+fn golden_stream_runs() -> Vec<StreamCounters> {
+    let ds = UcrAnalog::Trace.generate(9);
+    let query = TimeSeries::new(ds.series[0].values()[40..136].to_vec()).unwrap();
+    let hay = haystack(&ds.series[1..9]);
+    let sym2 = DtwOptions {
+        step_pattern: StepPattern::Symmetric2,
+        normalization: Normalization::LengthSum,
+        ..DtwOptions::default()
+    };
+    let runs: [(bool, DtwOptions, usize, f64); 3] = [
+        (true, DtwOptions::default(), 3, f64::INFINITY),
+        (false, DtwOptions::amerced(0.1), 2, f64::INFINITY),
+        (true, sym2, 4, 0.05),
+    ];
+    runs.iter()
+        .map(|&(z_norm, dtw, k, tau)| {
+            let mut config = StreamConfig {
+                z_normalize: z_norm,
+                ..StreamConfig::exact_banded(0.2)
+            };
+            config.sdtw.dtw = dtw;
+            let matcher = SubseqMatcher::new(&query, config).unwrap();
+            let s = matcher.find_under(&hay, k, tau).unwrap().stats;
+            let c = s.cascade;
+            (
+                s.windows,
+                s.passes,
+                s.skipped_excluded,
+                s.cache_hits,
+                c.candidates,
+                c.pruned_kim,
+                c.pruned_paa,
+                c.pruned_keogh,
+                c.abandoned,
+                c.dp_completed,
+                c.cells_filled,
+            )
+        })
+        .collect()
+}
+
+/// Golden stream counters, captured from the single-window serial sweep.
+/// The lane-batched flush must reproduce every counter (prune credit per
+/// stage, abandoned vs completed, cells, cache hits) exactly; the CI
+/// matrix runs this under every `SDTW_ENGINE × SDTW_SIMD` leg.
+#[test]
+fn batched_flush_counters_match_the_serial_sweep_golden_record() {
+    const GOLDEN: [StreamCounters; 3] = [
+        (2105, 3, 285, 82, 5948, 5559, 165, 19, 160, 45, 390730),
+        (2105, 2, 95, 41, 4074, 2733, 669, 102, 526, 44, 1086420),
+        (2105, 4, 570, 40, 7810, 7259, 276, 30, 228, 17, 466970),
+    ];
+    assert_eq!(golden_stream_runs(), GOLDEN);
+}

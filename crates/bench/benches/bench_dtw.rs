@@ -4,22 +4,23 @@
 //! path on a 200-series corpus (`BENCH_baseline.json`), and the
 //! API-redesign overhead checks tracked in `BENCH_api.json`:
 //!
-//! * `api_pairwise` — the deprecated shims vs `dtw_run_options` vs the
-//!   `SDtw::query` builder on the same pair (the builder must add zero
-//!   measurable overhead — it *is* the shims' implementation);
+//! * `api_pairwise` — `dtw_run_options` vs the `SDtw::query` builder on
+//!   the same pair (the builder must add zero measurable overhead over
+//!   the engine call it resolves to);
 //! * `api_kernel` — the amerced (ADTW) kernel inside the same band
 //!   machinery as the standard kernel;
 //! * `api_knn` — index kNN batches under the standard and amerced
 //!   kernels (same cascade, kernel swapped via configuration).
 //!
 //! Plus the engine-parity records: `engine_parity_<N>core` pins the
-//! wavefront fill against the row fill on identical inputs (the core
-//! count in the group name qualifies the ratio — see DESIGN §11), and
-//! `lb_batch` pins the 8-lane LB_Keogh pass against eight scalar calls.
-//! `simd_lanes_<N>core` pins the explicit-lane diagonal sweep against
-//! the scalar cell loop on the same wavefront engine (DESIGN §15) and
-//! *asserts* the lane fill wins on full grids; the measured speedup and
-//! lane width land in the `simd_lanes_guard/...` record id.
+//! wavefront fill against the row fill in path mode, the row fill's only
+//! production use (the core count in the group name qualifies the ratio
+//! — see DESIGN §11), and `lb_batch` pins the 8-lane LB_Keogh pass
+//! against eight scalar calls. `simd_lanes_<N>core` pins the production
+//! lane sweep against the oracle-only scalar wavefront
+//! (`sdtw_dtw::reference`, DESIGN §15) and *asserts* the lane fill wins
+//! on full grids; the measured speedup and lane width land in the
+//! `simd_lanes_guard/...` record id.
 //!
 //! `dp_batch_<N>core` pins eight single-window fills against one
 //! eight-lane batched fill (`dtw_run_batch_values`) of the same eight
@@ -38,15 +39,13 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sdtw::{ConstraintPolicy, FeatureStore, KernelChoice, SDtw, SDtwConfig};
 use sdtw_dtw::engine::{
-    dtw_full, dtw_run_batch_values, dtw_run_options, dtw_run_options_values,
-    dtw_run_options_values_pinned, dtw_run_options_values_with, DtwEngine, DtwOptions, DtwScratch,
+    dtw_full, dtw_run_batch_values, dtw_run_options, dtw_run_options_values, DtwOptions, DtwScratch,
 };
 use sdtw_dtw::itakura::itakura_band;
-use sdtw_dtw::lower_bound::{
-    lb_keogh_batch, lb_keogh_batch_with, lb_keogh_values, Envelope, LB_LANES,
-};
+use sdtw_dtw::lower_bound::{lb_keogh_batch, lb_keogh_values, Envelope, LB_LANES};
+use sdtw_dtw::reference::wavefront_scalar_values;
 use sdtw_dtw::sakoe::sakoe_chiba_band;
-use sdtw_dtw::simd::{SimdMode, LANE_WIDTH};
+use sdtw_dtw::simd::LANE_WIDTH;
 use sdtw_dtw::Band;
 use sdtw_eval::compute_matrix;
 use sdtw_index::{IndexConfig, SdtwIndex, SnapshotCodec, SnapshotFormat};
@@ -130,9 +129,8 @@ fn bench_scratch_reuse(c: &mut Criterion) {
     group.finish();
 }
 
-/// Builder-vs-legacy on one pair: the shims delegate to the builder, so
-/// any measurable gap is dispatch overhead the redesign must not add.
-#[allow(deprecated)] // benchmarking the deprecated shims is the point
+/// Builder vs the engine call it resolves to, on one pair: any
+/// measurable gap is dispatch overhead the builder must not add.
 fn bench_api_pairwise(c: &mut Criterion) {
     let n = 256;
     let x = series(n, 0.0);
@@ -142,14 +140,6 @@ fn bench_api_pairwise(c: &mut Criterion) {
     let mut group = c.benchmark_group("api_pairwise");
 
     let mut scratch = DtwScratch::new();
-    group.bench_function("legacy_dtw_banded_with_scratch", |b| {
-        b.iter(|| {
-            black_box(
-                sdtw_dtw::engine::dtw_banded_with_scratch(&x, &y, &band, &opts, &mut scratch)
-                    .distance,
-            )
-        })
-    });
     group.bench_function("unified_dtw_run_options", |b| {
         b.iter(|| {
             black_box(
@@ -167,15 +157,6 @@ fn bench_api_pairwise(c: &mut Criterion) {
     .unwrap();
     let fx = extract_features(&x, &engine.config().salient).unwrap();
     let fy = extract_features(&y, &engine.config().salient).unwrap();
-    group.bench_function("legacy_distance_with_features_scratch", |b| {
-        b.iter(|| {
-            black_box(
-                engine
-                    .distance_with_features_scratch(&x, &fx, &y, &fy, &mut scratch)
-                    .distance,
-            )
-        })
-    });
     group.bench_function("builder_query", |b| {
         b.iter(|| {
             black_box(
@@ -219,15 +200,14 @@ fn bench_api_kernel(c: &mut Criterion) {
 }
 
 /// Wavefront vs row fill on the same pair and band — the parity record
-/// the tracked baseline carries. The group name notes the core count the
-/// run saw: the anti-diagonal layout exists for lane-parallel hardware,
-/// so a 1-core runner is expected to show parity (ratio ≈ 1) rather than
-/// a speedup, and the record documents that ratio either way.
+/// the tracked baseline carries. The row leg runs in path mode (its only
+/// production use, traceback included) under the `rows_path_*` id, so
+/// its records are never compared with the older path-free `rows_*`
+/// ones. The group name notes the core count the run saw.
 fn bench_engine_parity(c: &mut Criterion) {
     let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
     let group_name = format!("engine_parity_{cores}core");
     let mut group = c.benchmark_group(&group_name);
-    let opts = DtwOptions::default();
     let mut scratch = DtwScratch::new();
     for &n in &[256usize, 512] {
         let x = series(n, 0.0);
@@ -236,9 +216,9 @@ fn bench_engine_parity(c: &mut Criterion) {
             ("full", Band::full(n, n)),
             ("sakoe10", sakoe_chiba_band(n, n, 0.10)),
         ] {
-            for (ename, engine) in [
-                ("wavefront", DtwEngine::Wavefront),
-                ("rows", DtwEngine::Rows),
+            for (ename, opts) in [
+                ("wavefront", DtwOptions::default()),
+                ("rows_path", DtwOptions::with_path()),
             ] {
                 group.bench_with_input(
                     BenchmarkId::new(format!("{ename}_{bname}"), n),
@@ -246,17 +226,9 @@ fn bench_engine_parity(c: &mut Criterion) {
                     |b, _| {
                         b.iter(|| {
                             black_box(
-                                dtw_run_options_values_with(
-                                    engine,
-                                    x.values(),
-                                    y.values(),
-                                    &band,
-                                    &opts,
-                                    None,
-                                    &mut scratch,
-                                )
-                                .expect("no cutoff")
-                                .distance,
+                                dtw_run_options(&x, &y, &band, &opts, None, &mut scratch)
+                                    .expect("no cutoff")
+                                    .distance,
                             )
                         })
                     },
@@ -299,10 +271,26 @@ fn bench_lb_batch(c: &mut Criterion) {
     group.finish();
 }
 
-/// The explicit-SIMD lane sweep against the scalar cell loop on the
-/// wavefront engine's own turf — identical inputs, identical (bitwise)
+/// A single-pair wavefront fill over raw slices.
+type Fill = fn(
+    &[f64],
+    &[f64],
+    &Band,
+    &DtwOptions,
+    Option<f64>,
+    &mut DtwScratch,
+) -> Option<sdtw_dtw::DtwResult>;
+
+/// The production fill and its scalar oracle, in that order.
+const FILLS: [(&str, Fill); 2] = [
+    ("lanes", dtw_run_options_values),
+    ("scalar", wavefront_scalar_values),
+];
+
+/// The production lane sweep against the oracle-only scalar wavefront
+/// (`sdtw_dtw::reference`) — identical inputs, identical (bitwise)
 /// outputs, only the per-diagonal interior loop differs — plus the
-/// pinned lane-vs-scalar batched LB_Keogh pass. The group name carries
+/// batched LB_Keogh pass against per-element `lb_keogh_values` calls. The group name carries
 /// the core count (the lanes are *instruction-level* parallelism, so a
 /// 1-core runner is exactly where the speedup must show), and the guard
 /// record id carries the measured fill speedup and the lane width. The
@@ -319,30 +307,21 @@ fn bench_simd_lanes(c: &mut Criterion) {
         let x = series(n, 0.0);
         let y = series(n, 1.3);
         let band = Band::full(n, n);
-        for (mname, mode) in [("lanes", SimdMode::Lanes), ("scalar", SimdMode::Scalar)] {
+        for (mname, fill) in FILLS {
             group.bench_with_input(BenchmarkId::new(format!("fill_{mname}"), n), &n, |b, _| {
                 b.iter(|| {
                     black_box(
-                        dtw_run_options_values_pinned(
-                            DtwEngine::Wavefront,
-                            mode,
-                            x.values(),
-                            y.values(),
-                            &band,
-                            &opts,
-                            None,
-                            &mut scratch,
-                        )
-                        .expect("no cutoff")
-                        .distance,
+                        fill(x.values(), y.values(), &band, &opts, None, &mut scratch)
+                            .expect("no cutoff")
+                            .distance,
                     )
                 })
             });
         }
     }
 
-    // the batched LB pass, pinned per mode over one ragged batch
-    // (3 lanes + a 5-envelope tail — the cascade's typical shape)
+    // the batched LB pass against per-element calls over one ragged
+    // batch (3 lanes + a 5-envelope tail — the cascade's typical shape)
     let n = 256;
     let x = series(n, 0.0);
     let envelopes: Vec<Envelope> = (0..3 * LB_LANES + 5)
@@ -351,47 +330,48 @@ fn bench_simd_lanes(c: &mut Criterion) {
     let env_refs: Vec<&Envelope> = envelopes.iter().collect();
     let metric = DtwOptions::default().metric;
     let mut out = Vec::with_capacity(env_refs.len());
-    for (mname, mode) in [("lanes", SimdMode::Lanes), ("scalar", SimdMode::Scalar)] {
-        group.bench_function(&format!("lb_batch_{mname}"), |b| {
-            b.iter(|| {
-                lb_keogh_batch_with(mode, x.values(), &env_refs, metric, &mut out);
-                black_box(out.iter().sum::<f64>())
-            })
-        });
-    }
+    group.bench_function("lb_batch_lanes", |b| {
+        b.iter(|| {
+            lb_keogh_batch(x.values(), &env_refs, metric, &mut out);
+            black_box(out.iter().sum::<f64>())
+        })
+    });
+    group.bench_function("lb_batch_scalar", |b| {
+        b.iter(|| {
+            out.clear();
+            out.extend(
+                env_refs
+                    .iter()
+                    .map(|env| lb_keogh_values(x.values(), env, metric)),
+            );
+            black_box(out.iter().sum::<f64>())
+        })
+    });
     group.finish();
 
-    // the guard proper, measured outside the shim: the lane fill must
+    // the guard proper, measured outside the harness: the lane fill must
     // beat the scalar fill on the 512-point full grid
     let n = 512;
     let x = series(n, 0.0);
     let y = series(n, 1.3);
     let band = Band::full(n, n);
-    let fill_ns = |mode: SimdMode| {
+    let fill_ns = |fill: Fill| {
         let mut scratch = DtwScratch::new();
         min_ns_per_call(
             &mut || {
                 black_box(
-                    dtw_run_options_values_pinned(
-                        DtwEngine::Wavefront,
-                        mode,
-                        x.values(),
-                        y.values(),
-                        &band,
-                        &opts,
-                        None,
-                        &mut scratch,
-                    )
-                    .expect("no cutoff")
-                    .distance,
+                    fill(x.values(), y.values(), &band, &opts, None, &mut scratch)
+                        .expect("no cutoff")
+                        .distance,
                 );
             },
             20,
             8,
         )
     };
-    let scalar_ns = fill_ns(SimdMode::Scalar);
-    let lanes_ns = fill_ns(SimdMode::Lanes);
+    let [(_, lanes), (_, scalar)] = FILLS;
+    let scalar_ns = fill_ns(scalar);
+    let lanes_ns = fill_ns(lanes);
     let speedup = scalar_ns / lanes_ns;
     assert!(
         speedup >= 1.2,

@@ -30,10 +30,7 @@ mod args;
 
 use args::Args;
 use rayon::prelude::*;
-use sdtw::{
-    ConstraintPolicy, DtwEngine, FeatureStore, KernelChoice, SDtw, SDtwConfig, SalientConfig,
-    SimdMode,
-};
+use sdtw::{ConstraintPolicy, FeatureStore, KernelChoice, SDtw, SDtwConfig, SalientConfig};
 use sdtw_datasets::UcrAnalog;
 use sdtw_index::{
     CascadeStats, IndexConfig, SdtwIndex, SnapshotCodec, SnapshotFormat, DEFAULT_PAA_WIDTH,
@@ -340,7 +337,7 @@ fn cmd_dist(a: &Args) -> Result<(), String> {
             k: 1,
             policy: engine.config().policy.label(),
             kernel: engine.config().dtw.kernel_label(),
-            engine: format!("{:?}", DtwEngine::selected()).to_lowercase(),
+            engine: "wavefront".into(),
         };
         trace.counters.passes = 1;
         trace.counters.cascade.candidates = 1;
@@ -1192,12 +1189,6 @@ fn cmd_generate(a: &Args) -> Result<(), String> {
 }
 
 fn run() -> Result<(), String> {
-    // Validate the execution-shape environment overrides before any work:
-    // a misspelt SDTW_ENGINE/SDTW_SIMD surfaces as a proper error here
-    // instead of a panic (or a silently benchmarked default) deep inside
-    // the first query.
-    DtwEngine::from_env().map_err(|e| e.to_string())?;
-    SimdMode::from_env().map_err(|e| e.to_string())?;
     let args = Args::parse(std::env::args().skip(1))?;
     match args.command.as_str() {
         "dist" => cmd_dist(&args),

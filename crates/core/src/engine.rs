@@ -2,17 +2,15 @@
 //! path, outcome introspection.
 //!
 //! All distance computation flows through the [`crate::query::Query`]
-//! builder (`SDtw::query(&x, &y).….run()`); the historical `distance*`
-//! method family survives as `#[deprecated]` shims over it, bit-identical
-//! to their original outputs.
+//! builder (`SDtw::query(&x, &y).….run()`).
 
 use crate::constraint::build_band;
 use crate::policy::{BandSymmetry, ConstraintPolicy};
 use sdtw_align::{match_features, IntervalPartition, MatchConfig, MatchResult};
-use sdtw_dtw::engine::{DtwOptions, DtwScratch};
+use sdtw_dtw::engine::DtwOptions;
 use sdtw_dtw::{Band, WarpPath};
 use sdtw_salient::{SalientConfig, SalientFeature};
-use sdtw_tseries::{TimeSeries, TsError};
+use sdtw_tseries::TsError;
 use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
@@ -165,121 +163,6 @@ impl SDtw {
         &self.config
     }
 
-    /// Computes the constrained distance between two series, extracting
-    /// salient features on the fly (only when the policy needs them).
-    ///
-    /// # Errors
-    ///
-    /// Propagates feature-extraction errors.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use the query builder: `engine.query(&x, &y).run()`"
-    )]
-    pub fn distance(&self, x: &TimeSeries, y: &TimeSeries) -> Result<SDtwOutcome, TsError> {
-        Ok(self
-            .query(x, y)
-            .run()?
-            .expect("no cutoff configured, the run cannot abandon"))
-    }
-
-    /// Computes the constrained distance with pre-extracted features (the
-    /// cached path: extraction is reported as absent).
-    #[deprecated(
-        since = "0.1.0",
-        note = "use the query builder: `engine.query(&x, &y).features(fx, fy).run()`"
-    )]
-    pub fn distance_with_features(
-        &self,
-        x: &TimeSeries,
-        fx: &[SalientFeature],
-        y: &TimeSeries,
-        fy: &[SalientFeature],
-    ) -> SDtwOutcome {
-        self.query(x, y)
-            .features(fx, fy)
-            .run()
-            .expect("supplied features cannot fail extraction")
-            .expect("no cutoff configured, the run cannot abandon")
-    }
-
-    /// Cached-features distance with caller-provided DP scratch buffers.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use the query builder: \
-                `engine.query(&x, &y).features(fx, fy).scratch(&mut s).run()`"
-    )]
-    pub fn distance_with_features_scratch(
-        &self,
-        x: &TimeSeries,
-        fx: &[SalientFeature],
-        y: &TimeSeries,
-        fy: &[SalientFeature],
-        scratch: &mut DtwScratch,
-    ) -> SDtwOutcome {
-        self.query(x, y)
-            .features(fx, fy)
-            .scratch(scratch)
-            .run()
-            .expect("supplied features cannot fail extraction")
-            .expect("no cutoff configured, the run cannot abandon")
-    }
-
-    /// Early-abandoning cached-features distance (the retrieval hot
-    /// path). Returns `None` as soon as no path through the band can come
-    /// in at or under `threshold` (reported-distance units). Warp paths
-    /// are never produced on this variant.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use the query builder: \
-                `engine.query(&x, &y).features(fx, fy).cutoff(t).scratch(&mut s).run()`"
-    )]
-    pub fn distance_early_abandon_with_features_scratch(
-        &self,
-        x: &TimeSeries,
-        fx: &[SalientFeature],
-        y: &TimeSeries,
-        fy: &[SalientFeature],
-        threshold: f64,
-        scratch: &mut DtwScratch,
-    ) -> Option<SDtwOutcome> {
-        self.query(x, y)
-            .features(fx, fy)
-            .cutoff(threshold)
-            .path(false)
-            .scratch(scratch)
-            .run()
-            .expect("supplied features cannot fail extraction")
-    }
-
-    /// Runs the early-abandoning DP kernel on a *pre-planned* band under
-    /// this engine's DP options. Warp paths are never produced.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use the query builder: \
-                `engine.query(&x, &y).band(&band).cutoff(t).scratch(&mut s).run()`"
-    )]
-    pub fn banded_distance_early_abandon_scratch(
-        &self,
-        x: &TimeSeries,
-        y: &TimeSeries,
-        band: &Band,
-        threshold: f64,
-        scratch: &mut DtwScratch,
-    ) -> Option<sdtw_dtw::DtwResult> {
-        self.query(x, y)
-            .band(band)
-            .cutoff(threshold)
-            .path(false)
-            .scratch(scratch)
-            .run()
-            .expect("band override cannot fail extraction")
-            .map(|o| sdtw_dtw::DtwResult {
-                distance: o.distance,
-                path: None,
-                cells_filled: o.cells_filled,
-            })
-    }
-
     /// Builds the band this engine would use for a pair (exposed for
     /// introspection, visualisation, the experiment harness and retrieval
     /// cascades that screen the band with lower bounds before paying for
@@ -313,10 +196,10 @@ impl SDtw {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sdtw_dtw::engine::dtw_full;
+    use sdtw_dtw::engine::{dtw_full, DtwScratch};
     use sdtw_dtw::KernelChoice;
     use sdtw_salient::extract_features;
-    use sdtw_tseries::WarpMap;
+    use sdtw_tseries::{TimeSeries, WarpMap};
 
     /// Deterministic pair: two warped instances of a multi-feature proto.
     fn warped_pair(n: usize, m: usize) -> (TimeSeries, TimeSeries) {
@@ -842,37 +725,46 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_match_the_builder_bitwise() {
+    fn builder_options_compose_bit_identically() {
         let (x, y) = warped_pair(150, 170);
         let eng = engine(ConstraintPolicy::adaptive_core_adaptive_width_averaged());
         let fx = extract_features(&x, &eng.config().salient).unwrap();
         let fy = extract_features(&y, &eng.config().salient).unwrap();
         let mut scratch = DtwScratch::new();
 
-        let new = eng.query(&x, &y).features(&fx, &fy).run().unwrap().unwrap();
-        let old = eng.distance_with_features(&x, &fx, &y, &fy);
-        assert_eq!(old.distance.to_bits(), new.distance.to_bits());
-        assert_eq!(old.cells_filled, new.cells_filled);
-        let old_s = eng.distance_with_features_scratch(&x, &fx, &y, &fy, &mut scratch);
-        assert_eq!(old_s.distance.to_bits(), new.distance.to_bits());
-        let old_d = eng.distance(&x, &y).unwrap();
-        assert_eq!(old_d.distance.to_bits(), new.distance.to_bits());
-        let old_ea = eng
-            .distance_early_abandon_with_features_scratch(
-                &x,
-                &fx,
-                &y,
-                &fy,
-                f64::INFINITY,
-                &mut scratch,
-            )
+        let supplied = eng.query(&x, &y).features(&fx, &fy).run().unwrap().unwrap();
+        let extracted = eng.query(&x, &y).run().unwrap().unwrap();
+        assert_eq!(extracted.distance.to_bits(), supplied.distance.to_bits());
+        assert_eq!(extracted.cells_filled, supplied.cells_filled);
+        let reused = eng
+            .query(&x, &y)
+            .features(&fx, &fy)
+            .scratch(&mut scratch)
+            .run()
+            .unwrap()
             .unwrap();
-        assert_eq!(old_ea.distance.to_bits(), new.distance.to_bits());
+        assert_eq!(reused.distance.to_bits(), supplied.distance.to_bits());
+        let uncut = eng
+            .query(&x, &y)
+            .features(&fx, &fy)
+            .cutoff(f64::INFINITY)
+            .path(false)
+            .scratch(&mut scratch)
+            .run()
+            .unwrap()
+            .unwrap();
+        assert_eq!(uncut.distance.to_bits(), supplied.distance.to_bits());
         let (band, _) = eng.plan_band(&fx, &fy, x.len(), y.len());
-        let old_band = eng
-            .banded_distance_early_abandon_scratch(&x, &y, &band, f64::INFINITY, &mut scratch)
+        let banded = eng
+            .query(&x, &y)
+            .band(&band)
+            .cutoff(f64::INFINITY)
+            .path(false)
+            .scratch(&mut scratch)
+            .run()
+            .unwrap()
             .unwrap();
-        assert_eq!(old_band.distance.to_bits(), new.distance.to_bits());
+        assert_eq!(banded.distance.to_bits(), supplied.distance.to_bits());
+        assert_eq!(banded.cells_filled, supplied.cells_filled);
     }
 }

@@ -67,7 +67,7 @@ pub use store::FeatureStore;
 // Re-export the commonly needed config types so `sdtw` is usable alone.
 pub use sdtw_align::MatchConfig;
 pub use sdtw_dtw::{
-    AmercedKernel, Band, DtwEngine, DtwKernel, DtwOptions, DtwScratch, F64Lanes, KernelChoice,
-    SimdMode, StandardKernel, WarpPath,
+    AmercedKernel, Band, DtwKernel, DtwOptions, DtwScratch, F64Lanes, KernelChoice, StandardKernel,
+    WarpPath,
 };
 pub use sdtw_salient::SalientConfig;

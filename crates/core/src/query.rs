@@ -12,18 +12,15 @@
 //! | early-abandon cutoff | [`Query::cutoff`] | none |
 //! | scratch reuse | [`Query::scratch`] | allocate internally |
 //! | cost kernel | [`Query::kernel`] | the engine's `dtw.kernel` |
-//! | DP engine | [`Query::dp_engine`] | `SDTW_ENGINE` / wavefront |
-//! | SIMD mode | [`Query::simd`] | `SDTW_SIMD` / lanes |
 //!
-//! All combinations resolve through one internal `run()`; the deprecated
-//! `SDtw::distance*` methods are thin shims over it and bit-identical to
-//! their historical outputs (the equivalence suite in
-//! `tests/equivalence_api.rs` asserts this).
+//! All combinations resolve through one internal `run()`, which hands the
+//! planned band to [`sdtw_dtw::engine::dtw_run_options_values`]; the DP
+//! fill is chosen there from the input alone.
 
 use crate::engine::{PhaseTiming, SDtw, SDtwOutcome};
 use crate::store::FeatureStore;
-use sdtw_dtw::engine::{dtw_run_options_values_pinned, DtwEngine, DtwScratch};
-use sdtw_dtw::{Band, KernelChoice, SimdMode};
+use sdtw_dtw::engine::{dtw_run_options_values, DtwScratch};
+use sdtw_dtw::{Band, KernelChoice};
 use sdtw_obs::{Recorder, SpanRecord, TracePhase};
 use sdtw_salient::{extract_features, SalientFeature};
 use sdtw_tseries::{TimeSeries, TsError};
@@ -100,8 +97,6 @@ pub struct Query<'a> {
     cutoff: Option<f64>,
     scratch: Option<&'a mut DtwScratch>,
     kernel: Option<KernelChoice>,
-    dp_engine: Option<DtwEngine>,
-    simd: Option<SimdMode>,
     recorder: Option<&'a mut Recorder>,
 }
 
@@ -145,8 +140,6 @@ impl SDtw {
             cutoff: None,
             scratch: None,
             kernel: None,
-            dp_engine: None,
-            simd: None,
             recorder: None,
         }
     }
@@ -221,30 +214,6 @@ impl<'a> Query<'a> {
         self
     }
 
-    /// Pins the DP fill order for this call — [`DtwEngine::Wavefront`]
-    /// or [`DtwEngine::Rows`] — instead of the process-wide
-    /// [`DtwEngine::selected`] default (the `SDTW_ENGINE` environment
-    /// variable, wavefront when unset). The two engines are
-    /// bit-identical in distances, paths, and abandon decisions; this
-    /// override exists for differential tests and benchmarks.
-    pub fn dp_engine(mut self, engine: DtwEngine) -> Self {
-        self.dp_engine = Some(engine);
-        self
-    }
-
-    /// Pins the SIMD mode of the wavefront fill for this call —
-    /// [`SimdMode::Lanes`] (explicit `F64Lanes` diagonal sweeps) or
-    /// [`SimdMode::Scalar`] (one cell at a time) — instead of the
-    /// process-wide [`SimdMode::selected`] default (the `SDTW_SIMD`
-    /// environment variable, lanes when unset). The two modes are
-    /// bit-identical in distances and abandon decisions; this override
-    /// exists for differential tests and benchmarks. The row engine
-    /// ignores it.
-    pub fn simd(mut self, simd: SimdMode) -> Self {
-        self.simd = Some(simd);
-        self
-    }
-
     /// Executes the query: resolve features, plan (or adopt) the band,
     /// run the banded DP under the configured kernel.
     ///
@@ -266,8 +235,6 @@ impl<'a> Query<'a> {
             cutoff,
             scratch,
             kernel,
-            dp_engine,
-            simd,
             recorder,
         } = self;
         let config = engine.config();
@@ -368,16 +335,7 @@ impl<'a> Query<'a> {
             }
         };
         let t_dp = Instant::now();
-        let result = dtw_run_options_values_pinned(
-            dp_engine.unwrap_or_else(DtwEngine::selected),
-            simd.unwrap_or_else(SimdMode::selected),
-            xv,
-            yv,
-            band,
-            &opts,
-            cutoff,
-            scratch,
-        );
+        let result = dtw_run_options_values(xv, yv, band, &opts, cutoff, scratch);
         let dynamic_programming = t_dp.elapsed();
 
         // Route the measured phases through trace spans: the attached
@@ -491,31 +449,17 @@ mod tests {
     }
 
     #[test]
-    fn simd_override_is_bit_identical_across_modes() {
+    fn path_requests_leave_the_distance_bits_unchanged() {
+        // a path request switches the DP onto the row fill; everything
+        // but the path itself must stay bit-identical
         let engine = SDtw::new(SDtwConfig::default()).unwrap();
         let (x, y) = (series(130, 0.0), series(117, 0.6));
-        for dp in [DtwEngine::Wavefront, DtwEngine::Rows] {
-            let scalar = engine
-                .query(&x, &y)
-                .dp_engine(dp)
-                .simd(SimdMode::Scalar)
-                .run()
-                .unwrap()
-                .unwrap();
-            let lanes = engine
-                .query(&x, &y)
-                .dp_engine(dp)
-                .simd(SimdMode::Lanes)
-                .run()
-                .unwrap()
-                .unwrap();
-            assert_eq!(
-                scalar.distance.to_bits(),
-                lanes.distance.to_bits(),
-                "engine {dp:?}"
-            );
-            assert_eq!(scalar.cells_filled, lanes.cells_filled);
-        }
+        let plain = engine.query(&x, &y).path(false).run().unwrap().unwrap();
+        let traced = engine.query(&x, &y).path(true).run().unwrap().unwrap();
+        assert_eq!(plain.distance.to_bits(), traced.distance.to_bits());
+        assert_eq!(plain.cells_filled, traced.cells_filled);
+        assert!(plain.path.is_none());
+        traced.path.unwrap().validate(130, 117).unwrap();
     }
 
     #[test]

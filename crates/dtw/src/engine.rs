@@ -1,26 +1,27 @@
 //! Banded dynamic-programming engine and warp-path traceback.
 //!
 //! One kernel-generic recurrence executes every pruning policy **and**
-//! every cost model, under either of two interchangeable fill orders:
+//! every cost model. The input alone picks the fill order:
 //!
-//! * the **wavefront engine** (default) sweeps anti-diagonals `d = i + j`
-//!   of the banded lattice: every cell on a diagonal depends only on the
-//!   two previous diagonals, so the inner loop carries no serial
-//!   dependency and only three flat diagonal buffers stay alive;
-//! * the **row engine** fills row-by-row into the band-sparse
-//!   accumulation matrix `D` (CSR-style row offsets into a flat buffer)
-//!   and is the executor for path mode, whose backward traceback walk
-//!   needs the whole matrix.
+//! * a run that traces a warp path fills **row by row** into the
+//!   band-sparse accumulation matrix `D` (CSR-style row offsets into a
+//!   flat buffer), because the backward traceback walk needs the whole
+//!   matrix;
+//! * every other run sweeps **anti-diagonals** `d = i + j` of the banded
+//!   lattice: every cell on a diagonal depends only on the two previous
+//!   diagonals, so the inner loop carries no serial dependency, only
+//!   three flat diagonal buffers stay alive, and the interior of each
+//!   diagonal runs in explicit [`F64Lanes`] vectors (spans narrower than
+//!   one vector and ragged tails run scalar cells).
 //!
-//! Both engines evaluate the identical per-cell kernel expression in
+//! Both fills evaluate the identical per-cell expression in
 //! `O(band area)`, so their distances and abandon decisions are
-//! bit-identical (`tests/differential_engine.rs` is the harness that
-//! keeps this checkable); [`DtwEngine::selected`] picks the process-wide
-//! engine from `SDTW_ENGINE`, and [`SimdMode::selected`] independently
-//! picks whether the wavefront's diagonal sweep runs in explicit
-//! [`F64Lanes`] vectors or one scalar cell at a time (`SDTW_SIMD`,
-//! bit-identical either way). Out-of-band parents are treated as `+∞`;
-//! the band sanitiser guarantees the corner cell stays reachable.
+//! bit-identical (`tests/differential_engine.rs` runs one pair with and
+//! without a path request to keep this checkable). The all-scalar
+//! wavefront sweep survives only as the test oracle
+//! [`crate::reference::wavefront_scalar_values`]. Out-of-band parents are
+//! treated as `+∞`; the band sanitiser guarantees the corner cell stays
+//! reachable.
 //!
 //! The execution surface is **one** function pair:
 //!
@@ -37,93 +38,15 @@
 //! and abandon decision are bit-identical to a single-window fill). It
 //! wins where the wavefront cannot fill a vector — narrow bands with
 //! fewer than [`LANE_WIDTH`] cells per anti-diagonal — and the stream
-//! sweep uses it for every fixed-band flush. It has one shape, so the
-//! `SDTW_ENGINE`/`SDTW_SIMD` selections do not steer it.
-//!
-//! The historical `dtw_banded*` entry points survive as `#[deprecated]`
-//! shims over [`dtw_run_options`] and are bit-identical to it.
+//! sweep uses it for every fixed-band flush.
 
 use crate::band::Band;
 use crate::kernel::{AmercedKernel, DtwKernel, KernelChoice, StandardKernel};
 use crate::path::WarpPath;
-use crate::simd::{F64Lanes, LaneMask, SimdMode, LANE_WIDTH};
+use crate::simd::{F64Lanes, LaneMask, LANE_WIDTH};
 use sdtw_tseries::{ElementMetric, TimeSeries, TsError};
 use serde::{Deserialize, Serialize};
-use std::sync::OnceLock;
-
-/// Which fill order executes the banded DP recurrence.
-///
-/// Both engines compute the same per-cell expression over the same band,
-/// so results are bit-identical; the choice is purely an execution-shape
-/// decision (the wavefront layout is the one that admits data-parallel
-/// sweeps). Path mode always executes on the row engine regardless of the
-/// selection — the traceback walk needs the full accumulation matrix,
-/// which the wavefront never materialises.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DtwEngine {
-    /// Anti-diagonal sweep over three rotating diagonal buffers (the
-    /// default).
-    #[default]
-    Wavefront,
-    /// Row-sequential fill of the band-sparse matrix; also the executor
-    /// behind path reconstruction.
-    Rows,
-}
-
-impl DtwEngine {
-    /// Parses an engine name (`"wavefront"` / `"rows"`, case-insensitive;
-    /// the empty string selects the default). Returns `None` for anything
-    /// else.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "" | "wavefront" => Some(Self::Wavefront),
-            "rows" | "row" => Some(Self::Rows),
-            _ => None,
-        }
-    }
-
-    /// Resolves an optional `SDTW_ENGINE` value to an engine: `None`
-    /// (unset) is the default; an unparsable value is a proper
-    /// [`TsError::InvalidParameter`], never a panic. This is the pure core
-    /// of [`DtwEngine::from_env`], split out so tests can exercise the
-    /// error path without mutating the process environment.
-    ///
-    /// # Errors
-    ///
-    /// [`TsError::InvalidParameter`] on an unrecognised value.
-    pub fn from_env_value(value: Option<&str>) -> Result<Self, TsError> {
-        match value {
-            None => Ok(Self::default()),
-            Some(v) => Self::parse(v).ok_or_else(|| TsError::InvalidParameter {
-                name: "SDTW_ENGINE",
-                reason: format!("must be 'wavefront' or 'rows', got '{v}'"),
-            }),
-        }
-    }
-
-    /// Reads and validates the `SDTW_ENGINE` environment variable.
-    /// Front-ends (the CLI) call this once at startup so a misspelt forced
-    /// engine surfaces as an error message instead of a panic or a
-    /// silently benchmarked default.
-    ///
-    /// # Errors
-    ///
-    /// [`TsError::InvalidParameter`] on an unrecognised value.
-    pub fn from_env() -> Result<Self, TsError> {
-        Self::from_env_value(std::env::var("SDTW_ENGINE").ok().as_deref())
-    }
-
-    /// The process-wide engine selection: the `SDTW_ENGINE` environment
-    /// variable, read once and cached (the CI matrix forces each value in
-    /// turn); unset defaults to [`DtwEngine::Wavefront`]. An invalid value
-    /// falls back to the default here — validation lives in
-    /// [`DtwEngine::from_env`], which front-ends invoke at startup to fail
-    /// fast with a proper error.
-    pub fn selected() -> Self {
-        static SELECTED: OnceLock<DtwEngine> = OnceLock::new();
-        *SELECTED.get_or_init(|| Self::from_env().unwrap_or_default())
-    }
-}
+use std::borrow::Cow;
 
 /// Local-transition weighting of the DTW recurrence.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
@@ -802,6 +725,10 @@ pub fn dtw_run<K: DtwKernel>(
 /// this by construction — window-slicing callers inherit the guarantee
 /// from the series they slice).
 ///
+/// `compute_path` picks the fill (see the module docs): the row fill
+/// when a path is traced, the lane wavefront otherwise. Distance, abandon
+/// decision and `cells_filled` are the same bits either way.
+///
 /// # Panics
 ///
 /// Panics on dimension mismatch or an empty slice (programmer errors).
@@ -816,141 +743,14 @@ pub fn dtw_run_values<K: DtwKernel>(
     cutoff: Option<f64>,
     scratch: &mut DtwScratch,
 ) -> Option<DtwResult> {
-    dtw_run_values_with(
-        DtwEngine::selected(),
-        xv,
-        yv,
-        band,
-        metric,
-        kernel,
-        compute_path,
-        cutoff,
-        scratch,
-    )
-}
-
-/// [`dtw_run_values`] with the fill engine forced explicitly instead of
-/// resolved from [`DtwEngine::selected`] (the SIMD mode still resolves
-/// from [`SimdMode::selected`]; [`dtw_run_values_pinned`] forces both).
-///
-/// Requesting [`DtwEngine::Wavefront`] with `compute_path` set falls back
-/// to the row engine — the traceback walk needs the full accumulation
-/// matrix, which the wavefront sweep never materialises. The fallback is
-/// part of the contract (and covered by tests), not an accident.
-///
-/// # Panics
-///
-/// Panics on dimension mismatch or an empty slice (programmer errors).
-#[allow(clippy::too_many_arguments)] // mirror of dtw_run, see there
-pub fn dtw_run_values_with<K: DtwKernel>(
-    engine: DtwEngine,
-    xv: &[f64],
-    yv: &[f64],
-    band: &Band,
-    metric: ElementMetric,
-    kernel: &K,
-    compute_path: bool,
-    cutoff: Option<f64>,
-    scratch: &mut DtwScratch,
-) -> Option<DtwResult> {
-    dtw_run_values_pinned(
-        engine,
-        SimdMode::selected(),
-        xv,
-        yv,
-        band,
-        metric,
-        kernel,
-        compute_path,
-        cutoff,
-        scratch,
-    )
-}
-
-/// [`dtw_run_values`] with **both** execution-shape knobs forced
-/// explicitly: the fill engine and the SIMD mode. This is the dispatch
-/// point the cross-engine/cross-mode differential harness drives — it
-/// pins `scalar` and `lanes` inside one process to prove them
-/// bit-identical; production callers go through [`dtw_run_values`] (env
-/// selection) or the core `Query` builder (per-query override).
-///
-/// The SIMD mode only affects the wavefront fill; the row engine (and the
-/// path-mode fallback onto it) has a serial inner loop and ignores it.
-///
-/// # Panics
-///
-/// Panics on dimension mismatch or an empty slice (programmer errors).
-#[allow(clippy::too_many_arguments)] // mirror of dtw_run, see there
-pub fn dtw_run_values_pinned<K: DtwKernel>(
-    engine: DtwEngine,
-    simd: SimdMode,
-    xv: &[f64],
-    yv: &[f64],
-    band: &Band,
-    metric: ElementMetric,
-    kernel: &K,
-    compute_path: bool,
-    cutoff: Option<f64>,
-    scratch: &mut DtwScratch,
-) -> Option<DtwResult> {
-    assert!(!xv.is_empty() && !yv.is_empty(), "series must be non-empty");
-    assert_eq!(band.n(), xv.len(), "band rows must match |X|");
-    assert_eq!(band.m(), yv.len(), "band cols must match |Y|");
-    let sanitized;
-    let band = if band.is_feasible() {
-        band
-    } else {
-        sanitized = band.sanitize();
-        &sanitized
-    };
-
-    if engine == DtwEngine::Wavefront && !compute_path {
-        let raw = match (cutoff, simd) {
-            (Some(t), SimdMode::Lanes) => {
-                fill_wavefront::<K, true, true>(xv, yv, band, metric, kernel, t, scratch)?
-            }
-            (Some(t), SimdMode::Scalar) => {
-                fill_wavefront::<K, true, false>(xv, yv, band, metric, kernel, t, scratch)?
-            }
-            (None, SimdMode::Lanes) => fill_wavefront::<K, false, true>(
-                xv,
-                yv,
-                band,
-                metric,
-                kernel,
-                f64::INFINITY,
-                scratch,
-            )
-            .expect("a sweep without a cutoff never abandons"),
-            (None, SimdMode::Scalar) => fill_wavefront::<K, false, false>(
-                xv,
-                yv,
-                band,
-                metric,
-                kernel,
-                f64::INFINITY,
-                scratch,
-            )
-            .expect("a sweep without a cutoff never abandons"),
-        };
-        debug_assert!(raw.is_finite(), "sanitised band must reach the corner cell");
-        let distance = kernel.normalize(raw, xv.len(), yv.len());
-        // a completed sweep can still land over the cutoff
-        if let Some(t) = cutoff {
-            if distance > t {
-                return None;
-            }
-        }
-        return Some(DtwResult {
-            distance,
-            path: None,
-            cells_filled: band.area(),
-        });
+    let band = feasible_band(xv, yv, band);
+    if !compute_path {
+        return wavefront_run::<K, true>(xv, yv, &band, metric, kernel, cutoff, scratch);
     }
 
     let d = match cutoff {
-        Some(t) => fill::<K, true>(xv, yv, band, metric, kernel, t, scratch)?,
-        None => fill::<K, false>(xv, yv, band, metric, kernel, f64::INFINITY, scratch)
+        Some(t) => fill::<K, true>(xv, yv, &band, metric, kernel, t, scratch)?,
+        None => fill::<K, false>(xv, yv, &band, metric, kernel, f64::INFINITY, scratch)
             .expect("a fill without a cutoff never abandons"),
     };
 
@@ -958,28 +758,67 @@ pub fn dtw_run_values_pinned<K: DtwKernel>(
     debug_assert!(raw.is_finite(), "sanitised band must reach the corner cell");
     let distance = kernel.normalize(raw, xv.len(), yv.len());
     // reject against the cutoff before paying for the traceback walk
-    if let Some(t) = cutoff {
-        if distance > t {
-            return None;
-        }
+    if cutoff.is_some_and(|t| distance > t) {
+        return None;
     }
-    let path = if compute_path {
-        Some(traceback(&d, xv, yv, metric, kernel))
-    } else {
-        None
-    };
     Some(DtwResult {
         distance,
-        path,
+        path: Some(traceback(&d, xv, yv, metric, kernel)),
+        cells_filled: band.area(),
+    })
+}
+
+/// Checks the slice dimensions against the band and returns the band the
+/// recurrence runs on: `band` itself when feasible, its sanitised
+/// superset otherwise.
+pub(crate) fn feasible_band<'b>(xv: &[f64], yv: &[f64], band: &'b Band) -> Cow<'b, Band> {
+    assert!(!xv.is_empty() && !yv.is_empty(), "series must be non-empty");
+    assert_eq!(band.n(), xv.len(), "band rows must match |X|");
+    assert_eq!(band.m(), yv.len(), "band cols must match |Y|");
+    if band.is_feasible() {
+        Cow::Borrowed(band)
+    } else {
+        Cow::Owned(band.sanitize())
+    }
+}
+
+/// The wavefront fill of one pair on a feasible band, normalised and
+/// checked against the cutoff. `LANES` selects the [`F64Lanes`] interior
+/// sweep (production) or the all-scalar cell loop (the oracle in
+/// [`crate::reference`]).
+pub(crate) fn wavefront_run<K: DtwKernel, const LANES: bool>(
+    xv: &[f64],
+    yv: &[f64],
+    band: &Band,
+    metric: ElementMetric,
+    kernel: &K,
+    cutoff: Option<f64>,
+    scratch: &mut DtwScratch,
+) -> Option<DtwResult> {
+    let raw = match cutoff {
+        Some(t) => fill_wavefront::<K, true, LANES>(xv, yv, band, metric, kernel, t, scratch)?,
+        None => {
+            fill_wavefront::<K, false, LANES>(xv, yv, band, metric, kernel, f64::INFINITY, scratch)
+                .expect("a sweep without a cutoff never abandons")
+        }
+    };
+    debug_assert!(raw.is_finite(), "sanitised band must reach the corner cell");
+    let distance = kernel.normalize(raw, xv.len(), yv.len());
+    // a completed sweep can still land over the cutoff
+    if cutoff.is_some_and(|t| distance > t) {
+        return None;
+    }
+    Some(DtwResult {
+        distance,
+        path: None,
         cells_filled: band.area(),
     })
 }
 
 /// [`dtw_run`] driven by serialisable [`DtwOptions`]: dispatches the
 /// options' [`KernelChoice`] to a concrete kernel once, then runs the
-/// monomorphic fill. This is the single execution path every legacy
-/// `dtw_banded*` entry point (and the `SDtw` query builder above it)
-/// resolves to.
+/// monomorphic fill. This is the execution path the `SDtw` query builder
+/// above it resolves to.
 ///
 /// Returns `None` only when `cutoff` is `Some` and the run abandoned.
 ///
@@ -1000,7 +839,7 @@ pub fn dtw_run_options(
 }
 
 /// [`dtw_run_options`] over raw sample slices (see [`dtw_run_values`] for
-/// the slice-input contract).
+/// the slice-input contract and the fill choice).
 ///
 /// # Panics
 ///
@@ -1014,63 +853,8 @@ pub fn dtw_run_options_values(
     cutoff: Option<f64>,
     scratch: &mut DtwScratch,
 ) -> Option<DtwResult> {
-    dtw_run_options_values_with(DtwEngine::selected(), xv, yv, band, opts, cutoff, scratch)
-}
-
-/// [`dtw_run_options_values`] with the fill engine forced explicitly (see
-/// [`dtw_run_values_with`] for the engine contract and the path-mode
-/// fallback). The SIMD mode still resolves from [`SimdMode::selected`];
-/// [`dtw_run_options_values_pinned`] forces both.
-///
-/// # Panics
-///
-/// Panics on dimension mismatch, an empty slice, or an invalid amerced
-/// penalty (programmer errors).
-pub fn dtw_run_options_values_with(
-    engine: DtwEngine,
-    xv: &[f64],
-    yv: &[f64],
-    band: &Band,
-    opts: &DtwOptions,
-    cutoff: Option<f64>,
-    scratch: &mut DtwScratch,
-) -> Option<DtwResult> {
-    dtw_run_options_values_pinned(
-        engine,
-        SimdMode::selected(),
-        xv,
-        yv,
-        band,
-        opts,
-        cutoff,
-        scratch,
-    )
-}
-
-/// [`dtw_run_options_values`] with both the fill engine and the SIMD mode
-/// forced explicitly (see [`dtw_run_values_pinned`] for the contract).
-/// This is the options-driven leg of the differential harness and the
-/// dispatch target of the core `Query::simd` builder knob.
-///
-/// # Panics
-///
-/// Panics on dimension mismatch, an empty slice, or an invalid amerced
-/// penalty (programmer errors).
-#[allow(clippy::too_many_arguments)] // mirror of dtw_run, see there
-pub fn dtw_run_options_values_pinned(
-    engine: DtwEngine,
-    simd: SimdMode,
-    xv: &[f64],
-    yv: &[f64],
-    band: &Band,
-    opts: &DtwOptions,
-    cutoff: Option<f64>,
-    scratch: &mut DtwScratch,
-) -> Option<DtwResult> {
     match opts.kernel {
-        KernelChoice::Standard => dtw_run_values_pinned(
-            engine,
-            simd,
+        KernelChoice::Standard => dtw_run_values(
             xv,
             yv,
             band,
@@ -1080,9 +864,7 @@ pub fn dtw_run_options_values_pinned(
             cutoff,
             scratch,
         ),
-        KernelChoice::Amerced { penalty } => dtw_run_values_pinned(
-            engine,
-            simd,
+        KernelChoice::Amerced { penalty } => dtw_run_values(
             xv,
             yv,
             band,
@@ -1234,9 +1016,8 @@ fn fill_batch<K: DtwKernel>(
 /// cutoff`, `None` exactly when the single-window distance exceeds
 /// `cutoff` (a tie never abandons). Lanes past `ys.len()` are `None`.
 /// Every lane runs the row engine's per-cell expression through the
-/// kernel's `*_lanes` seam, so neither `SDTW_ENGINE` nor `SDTW_SIMD`
-/// steers this fill; `opts.compute_path` is ignored (no warp path is
-/// traced). An infinite `cutoff` never abandons.
+/// kernel's `*_lanes` seam; `opts.compute_path` is ignored (no warp path
+/// is traced). An infinite `cutoff` never abandons.
 ///
 /// This is the fill that pays off when the band is narrow: a
 /// single-window wavefront sweeps fewer than [`LANE_WIDTH`] cells per
@@ -1260,23 +1041,15 @@ pub fn dtw_run_batch_values(
         "a batch holds 1..={LANE_WIDTH} windows, got {}",
         ys.len()
     );
-    assert!(!xv.is_empty(), "series must be non-empty");
-    assert_eq!(band.n(), xv.len(), "band rows must match |X|");
     for y in ys {
         assert_eq!(band.m(), y.len(), "band cols must match every |Y|");
     }
-    let sanitized;
-    let band = if band.is_feasible() {
-        band
-    } else {
-        sanitized = band.sanitize();
-        &sanitized
-    };
+    let band = feasible_band(xv, ys[0], band);
     match opts.kernel {
         KernelChoice::Standard => fill_batch(
             xv,
             ys,
-            band,
+            &band,
             opts.metric,
             &StandardKernel::new(opts.step_pattern, opts.normalization),
             cutoff,
@@ -1285,7 +1058,7 @@ pub fn dtw_run_batch_values(
         KernelChoice::Amerced { penalty } => fill_batch(
             xv,
             ys,
-            band,
+            &band,
             opts.metric,
             &AmercedKernel::new(penalty, opts.normalization),
             cutoff,
@@ -1300,90 +1073,6 @@ pub fn dtw_full(x: &TimeSeries, y: &TimeSeries, opts: &DtwOptions) -> DtwResult 
     let mut scratch = DtwScratch::new();
     dtw_run_options(x, y, &band, opts, None, &mut scratch)
         .expect("a run without a cutoff never abandons")
-}
-
-/// Computes the DTW distance restricted to a band.
-///
-/// # Panics
-///
-/// Panics on dimension mismatch (programmer error).
-#[deprecated(
-    since = "0.1.0",
-    note = "use `dtw_run_options` (or the `SDtw::query` builder) — the one execution path"
-)]
-pub fn dtw_banded(x: &TimeSeries, y: &TimeSeries, band: &Band, opts: &DtwOptions) -> DtwResult {
-    let mut scratch = DtwScratch::new();
-    dtw_run_options(x, y, band, opts, None, &mut scratch)
-        .expect("a run without a cutoff never abandons")
-}
-
-/// Banded DTW with caller-provided scratch buffers.
-///
-/// # Panics
-///
-/// Panics on dimension mismatch (programmer error).
-#[deprecated(
-    since = "0.1.0",
-    note = "use `dtw_run_options` (or the `SDtw::query` builder) — the one execution path"
-)]
-pub fn dtw_banded_with_scratch(
-    x: &TimeSeries,
-    y: &TimeSeries,
-    band: &Band,
-    opts: &DtwOptions,
-    scratch: &mut DtwScratch,
-) -> DtwResult {
-    dtw_run_options(x, y, band, opts, None, scratch).expect("a run without a cutoff never abandons")
-}
-
-/// Early-abandoning banded DTW: returns `None` as soon as no path can
-/// come in at or under `threshold`. Never produces warp paths.
-///
-/// # Panics
-///
-/// Panics on dimension mismatch (programmer error).
-#[deprecated(
-    since = "0.1.0",
-    note = "use `dtw_run_options` with a cutoff (or the `SDtw::query` builder)"
-)]
-pub fn dtw_banded_early_abandon(
-    x: &TimeSeries,
-    y: &TimeSeries,
-    band: &Band,
-    opts: &DtwOptions,
-    threshold: f64,
-) -> Option<DtwResult> {
-    let mut scratch = DtwScratch::new();
-    let opts = DtwOptions {
-        compute_path: false,
-        ..*opts
-    };
-    dtw_run_options(x, y, band, &opts, Some(threshold), &mut scratch)
-}
-
-/// Early-abandoning banded DTW with caller-provided scratch buffers.
-/// Never produces warp paths.
-///
-/// # Panics
-///
-/// Panics on dimension mismatch (programmer error).
-#[deprecated(
-    since = "0.1.0",
-    note = "use `dtw_run_options` with a cutoff (or the `SDtw::query` builder)"
-)]
-pub fn dtw_banded_early_abandon_with_scratch(
-    x: &TimeSeries,
-    y: &TimeSeries,
-    band: &Band,
-    opts: &DtwOptions,
-    threshold: f64,
-    scratch: &mut DtwScratch,
-) -> Option<DtwResult> {
-    let opts = DtwOptions {
-        compute_path: false,
-        ..*opts
-    };
-    dtw_run_options(x, y, band, &opts, Some(threshold), scratch)
 }
 
 /// Walks the filled matrix from the top-right corner back to the origin,
@@ -1843,8 +1532,7 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn legacy_shims_are_bit_identical_to_the_unified_path() {
+    fn scratch_cutoff_and_path_options_are_bit_identical_to_the_plain_run() {
         let series: Vec<TimeSeries> = (0..4)
             .map(|k| {
                 ts(&(0..(24 + 11 * k))
@@ -1857,38 +1545,28 @@ mod tests {
             for b in &series {
                 let band = crate::sakoe::sakoe_chiba_band(a.len(), b.len(), 0.4);
                 for opts in [DtwOptions::with_path(), DtwOptions::normalized_symmetric2()] {
-                    let new = run(a, b, &band, &opts);
-                    let old = dtw_banded(a, b, &band, &opts);
-                    assert_eq!(old.distance.to_bits(), new.distance.to_bits());
-                    assert_eq!(old.path, new.path);
-                    assert_eq!(old.cells_filled, new.cells_filled);
-                    let old_s = dtw_banded_with_scratch(a, b, &band, &opts, &mut scratch);
-                    assert_eq!(old_s.distance.to_bits(), new.distance.to_bits());
+                    let plain = run(a, b, &band, &opts);
+                    let reused = dtw_run_options(a, b, &band, &opts, None, &mut scratch).unwrap();
+                    assert_eq!(plain.distance.to_bits(), reused.distance.to_bits());
+                    assert_eq!(plain.path, reused.path);
+                    assert_eq!(plain.cells_filled, reused.cells_filled);
                     for threshold in [0.2, f64::INFINITY] {
-                        // legacy abandoning variants never produce paths
-                        let plain = DtwOptions {
+                        let no_path = DtwOptions {
                             compute_path: false,
                             ..opts
                         };
-                        let new_ea = run_cutoff(a, b, &band, &plain, threshold);
-                        let old_ea = dtw_banded_early_abandon(a, b, &band, &opts, threshold);
-                        let old_eas = dtw_banded_early_abandon_with_scratch(
-                            a,
-                            b,
-                            &band,
-                            &opts,
-                            threshold,
-                            &mut scratch,
+                        let cut = run_cutoff(a, b, &band, &no_path, threshold);
+                        let cut_reused =
+                            dtw_run_options(a, b, &band, &no_path, Some(threshold), &mut scratch);
+                        assert_eq!(
+                            cut.as_ref().map(|r| r.distance.to_bits()),
+                            cut_reused.as_ref().map(|r| r.distance.to_bits())
                         );
                         assert_eq!(
-                            old_ea.as_ref().map(|r| r.distance.to_bits()),
-                            new_ea.as_ref().map(|r| r.distance.to_bits())
+                            cut.as_ref().map(|r| r.distance.to_bits()),
+                            (plain.distance <= threshold).then_some(plain.distance.to_bits())
                         );
-                        assert_eq!(
-                            old_eas.as_ref().map(|r| r.distance.to_bits()),
-                            new_ea.as_ref().map(|r| r.distance.to_bits())
-                        );
-                        assert!(old_ea.as_ref().is_none_or(|r| r.path.is_none()));
+                        assert!(cut.as_ref().is_none_or(|r| r.path.is_none()));
                     }
                 }
             }
@@ -2091,33 +1769,23 @@ mod tests {
         r.path.unwrap().validate(4, 3).unwrap();
     }
 
-    /// Engine-forced run with a fresh scratch (test shorthand).
-    fn run_with(
-        engine: DtwEngine,
+    /// One pair through both fills with a fresh scratch each: the lane
+    /// wavefront (no path requested) and the row fill (path requested).
+    fn run_both_fills(
         x: &TimeSeries,
         y: &TimeSeries,
         band: &Band,
         opts: &DtwOptions,
         cutoff: Option<f64>,
-    ) -> Option<DtwResult> {
-        dtw_run_options_values_with(
-            engine,
-            x.values(),
-            y.values(),
-            band,
-            opts,
-            cutoff,
-            &mut DtwScratch::new(),
-        )
-    }
-
-    #[test]
-    fn engine_names_parse_and_default_to_wavefront() {
-        assert_eq!(DtwEngine::parse("wavefront"), Some(DtwEngine::Wavefront));
-        assert_eq!(DtwEngine::parse(" Rows "), Some(DtwEngine::Rows));
-        assert_eq!(DtwEngine::parse(""), Some(DtwEngine::Wavefront));
-        assert_eq!(DtwEngine::parse("simd"), None);
-        assert_eq!(DtwEngine::default(), DtwEngine::Wavefront);
+    ) -> (Option<DtwResult>, Option<DtwResult>) {
+        let run = |compute_path| {
+            let opts = DtwOptions {
+                compute_path,
+                ..*opts
+            };
+            dtw_run_options(x, y, band, &opts, cutoff, &mut DtwScratch::new())
+        };
+        (run(false), run(true))
     }
 
     #[test]
@@ -2129,8 +1797,6 @@ mod tests {
                     .collect::<Vec<_>>())
             })
             .collect();
-        let mut wave_scratch = DtwScratch::new();
-        let mut rows_scratch = DtwScratch::new();
         for a in &series {
             for b in &series {
                 for band in [
@@ -2144,31 +1810,14 @@ mod tests {
                         DtwOptions::amerced(0.15),
                     ] {
                         for cutoff in [None, Some(0.5), Some(f64::INFINITY)] {
-                            let w = dtw_run_options_values_with(
-                                DtwEngine::Wavefront,
-                                a.values(),
-                                b.values(),
-                                &band,
-                                &opts,
-                                cutoff,
-                                &mut wave_scratch,
-                            );
-                            let r = dtw_run_options_values_with(
-                                DtwEngine::Rows,
-                                a.values(),
-                                b.values(),
-                                &band,
-                                &opts,
-                                cutoff,
-                                &mut rows_scratch,
-                            );
-                            match (w, r) {
+                            match run_both_fills(a, b, &band, &opts, cutoff) {
                                 (None, None) => {}
                                 (Some(w), Some(r)) => {
                                     assert_eq!(w.distance.to_bits(), r.distance.to_bits());
                                     assert_eq!(w.cells_filled, r.cells_filled);
+                                    assert!(w.path.is_none() && r.path.is_some());
                                 }
-                                (w, r) => panic!("engines disagree on abandon: {w:?} vs {r:?}"),
+                                (w, r) => panic!("fills disagree on abandon: {w:?} vs {r:?}"),
                             }
                         }
                     }
@@ -2194,25 +1843,10 @@ mod tests {
         assert!(band.is_feasible() && !band.is_staircase());
         let x = ts(&[0.1, 0.9, 0.4, 1.7]);
         let y = ts(&[0.0, 1.0, 0.5, 1.5, 0.0]);
-        let opts = DtwOptions::default();
-        let w = run_with(DtwEngine::Wavefront, &x, &y, &band, &opts, None).unwrap();
-        let r = run_with(DtwEngine::Rows, &x, &y, &band, &opts, None).unwrap();
+        let (w, r) = run_both_fills(&x, &y, &band, &DtwOptions::default(), None);
+        let (w, r) = (w.unwrap(), r.unwrap());
         assert_eq!(w.distance.to_bits(), r.distance.to_bits());
-    }
-
-    #[test]
-    fn wavefront_path_mode_falls_back_to_the_row_engine() {
-        // the fallback is part of the engine contract: a path request on
-        // the wavefront engine must produce the row engine's exact result
-        let x = ts(&[0.1, 0.9, 0.4, 1.7, 1.1, 0.2]);
-        let y = ts(&[0.0, 1.0, 0.5, 1.5, 0.0]);
-        let band = crate::sakoe::sakoe_chiba_band(6, 5, 0.5);
-        let opts = DtwOptions::with_path();
-        let w = run_with(DtwEngine::Wavefront, &x, &y, &band, &opts, None).unwrap();
-        let r = run_with(DtwEngine::Rows, &x, &y, &band, &opts, None).unwrap();
-        assert_eq!(w.distance.to_bits(), r.distance.to_bits());
-        assert_eq!(w.path, r.path);
-        w.path.unwrap().validate(6, 5).unwrap();
+        r.path.unwrap().validate(4, 5).unwrap();
     }
 
     #[test]
@@ -2227,27 +1861,13 @@ mod tests {
                     .collect::<Vec<_>>())
             })
             .collect();
+        let opts = DtwOptions::default();
         for a in &series {
             for b in &series {
                 let band = crate::sakoe::sakoe_chiba_band(a.len(), b.len(), 0.3);
                 for cutoff in [None, Some(0.8)] {
-                    let fresh = run_with(
-                        DtwEngine::Wavefront,
-                        a,
-                        b,
-                        &band,
-                        &DtwOptions::default(),
-                        cutoff,
-                    );
-                    let reused = dtw_run_options_values_with(
-                        DtwEngine::Wavefront,
-                        a.values(),
-                        b.values(),
-                        &band,
-                        &DtwOptions::default(),
-                        cutoff,
-                        &mut scratch,
-                    );
+                    let fresh = dtw_run_options(a, b, &band, &opts, cutoff, &mut DtwScratch::new());
+                    let reused = dtw_run_options(a, b, &band, &opts, cutoff, &mut scratch);
                     assert_eq!(
                         fresh.as_ref().map(|r| r.distance.to_bits()),
                         reused.as_ref().map(|r| r.distance.to_bits())

@@ -58,8 +58,9 @@ use serde::{Deserialize, Serialize};
 ///   on that lane's inputs. The defaults guarantee this by delegating
 ///   per-lane; an override may only reorder *across* lanes (which is what
 ///   makes it vectorisable), never alter the per-lane op sequence —
-///   `SDTW_SIMD=lanes` vs `=scalar` bit-identity rests on it, and the
-///   differential harness asserts it per kernel.
+///   the lane fill's bit-identity with the scalar oracle
+///   ([`crate::reference::wavefront_scalar_values`]) rests on it, and
+///   the differential harness asserts it per kernel.
 pub trait DtwKernel {
     /// Cost of the origin cell of a warp path (no parent).
     #[inline]

@@ -36,16 +36,19 @@
 //! * [`multires`] — coarse-to-fine (FastDTW-style) corridor DTW, the
 //!   reduced-representation family the paper calls orthogonal to sDTW;
 //! * [`simd`] — the portable explicit-SIMD lane layer: the aligned
-//!   [`simd::F64Lanes`] vector type the wavefront fill and the batched
-//!   bounds sweep with, and the [`simd::SimdMode`] selector
-//!   (`SDTW_SIMD=scalar|lanes`, bit-identical by differential test).
+//!   [`simd::F64Lanes`] vector type the wavefront fill, the batched
+//!   window fill and the batched bounds sweep with;
+//! * [`mod@reference`] — test oracles only: the all-scalar wavefront sweep
+//!   the lane fill is checked against bit for bit (kept out of the
+//!   re-exports below).
 //!
 //! The execution surface is the unified [`engine::dtw_run`] /
-//! [`engine::dtw_run_options`] pair; the historical `dtw_banded*` entry
-//! points are `#[deprecated]` shims over it. (The former `search` module's
-//! pruned 1-NN scan was superseded by the `sdtw-index` cascade and has
-//! been removed; `sdtw_eval::compute_query_matrix` is the brute-force
-//! oracle the test suites compare against.)
+//! [`engine::dtw_run_options`] pair; the input alone picks the fill (the
+//! row fill when a warp path is traced, the lane wavefront otherwise).
+//! (The former `search` module's pruned 1-NN scan was superseded by the
+//! `sdtw-index` cascade and has been removed;
+//! `sdtw_eval::compute_query_matrix` is the brute-force oracle the test
+//! suites compare against.)
 //!
 //! # Example
 //!
@@ -75,6 +78,7 @@ pub mod kernel;
 pub mod lower_bound;
 pub mod multires;
 pub mod path;
+pub mod reference;
 pub mod sakoe;
 pub mod simd;
 
@@ -82,22 +86,15 @@ pub use band::Band;
 pub use cascade::{
     Cascade, CascadeScratch, CascadeStats, CoarseEnvelope, PruneStage, SampleInput, StageKind,
 };
-#[allow(deprecated)] // the legacy entry points stay reachable during migration
 pub use engine::{
-    dtw_banded, dtw_banded_early_abandon, dtw_banded_early_abandon_with_scratch,
-    dtw_banded_with_scratch,
-};
-pub use engine::{
-    dtw_full, dtw_run, dtw_run_options, dtw_run_options_values, dtw_run_options_values_pinned,
-    dtw_run_options_values_with, dtw_run_values, dtw_run_values_pinned, dtw_run_values_with,
-    DtwEngine, DtwOptions, DtwResult, DtwScratch, Normalization, StepPattern,
+    dtw_full, dtw_run, dtw_run_options, dtw_run_options_values, dtw_run_values, DtwOptions,
+    DtwResult, DtwScratch, Normalization, StepPattern,
 };
 pub use kernel::{AmercedKernel, DtwKernel, KernelChoice, StandardKernel};
 pub use lower_bound::{
-    lb_keogh, lb_keogh_batch, lb_keogh_batch_windows, lb_keogh_batch_windows_with,
-    lb_keogh_batch_with, lb_keogh_values, lb_kim, lb_kim_batch, lb_kim_batch_with, Envelope,
-    SeriesSummary, LB_LANES,
+    lb_keogh, lb_keogh_batch, lb_keogh_batch_windows, lb_keogh_values, lb_kim, lb_kim_batch,
+    Envelope, SeriesSummary, LB_LANES,
 };
 pub use multires::{dtw_multires, dtw_multires_with_scratch, MultiresScratch};
 pub use path::WarpPath;
-pub use simd::{F64Lanes, LaneMask, SimdMode, LANE_WIDTH};
+pub use simd::{F64Lanes, LaneMask, LANE_WIDTH};

@@ -19,7 +19,7 @@
 //! below a bound; `sdtw-index` chains them cheapest-first. Neither bound is
 //! part of the sDTW algorithm itself.
 
-use crate::simd::{lanes_eval, F64Lanes, SimdMode, LANE_WIDTH};
+use crate::simd::{lanes_eval, F64Lanes, LANE_WIDTH};
 use sdtw_tseries::{ElementMetric, TimeSeries};
 use serde::{Deserialize, Serialize};
 
@@ -234,16 +234,17 @@ pub fn lb_kim(x: &SeriesSummary, y: &SeriesSummary, metric: ElementMetric) -> f6
 /// `sdtw-stream` deferred window queues) agree on the same number.
 ///
 /// The batched variants below restructure the `O(n)` bound loops from
-/// one-candidate-at-a-time into chunk loops with one accumulator per lane
-/// (chunked scalar or explicit [`F64Lanes`], per [`SimdMode`]). Two
-/// invariants make every lane **bit-identical** to its scalar
-/// counterpart, and the SIMD rewrite leans on both:
+/// one-candidate-at-a-time into chunk loops with one [`F64Lanes`]
+/// accumulator lane per candidate. The per-element functions
+/// ([`lb_keogh_values`], [`lb_kim`]) are their scalar reference. Two
+/// invariants make every lane **bit-identical** to that reference, and
+/// the lane bodies lean on both:
 ///
 /// * **each lane accumulates in the exact sequential order of the scalar
 ///   reference** — sample `i` is folded into lane `l`'s accumulator
 ///   before sample `i + 1`, exactly as `lb_keogh_values` would;
 /// * **in-tube samples add a literal `+0.0`** — where the scalar
-///   reference *skips* the add, the chunked loops add `0.0`, a bitwise
+///   reference *skips* the add, the lane loops add `0.0`, a bitwise
 ///   no-op on the non-negative accumulator (`+0.0 + +0.0 == +0.0`; no
 ///   value here is `-0.0` or NaN), which is what lets the lane body be
 ///   branch-free (mask-select of the deviation, add unconditionally).
@@ -281,30 +282,12 @@ fn keogh_dev_lanes(
 /// many candidate envelopes (the per-query cascade batches corpus
 /// entries). Appends one bound per envelope to `out`, in order; each is
 /// bit-identical to `lb_keogh_values(x, env, metric)` (see [`LB_LANES`]
-/// for the two invariants that make the chunked loops exact). Runs in the
-/// process-wide [`SimdMode::selected`]; [`lb_keogh_batch_with`] pins it.
+/// for the two invariants that make the lane loops exact).
 ///
 /// # Panics
 ///
 /// Panics on any length mismatch.
 pub fn lb_keogh_batch(x: &[f64], envs: &[&Envelope], metric: ElementMetric, out: &mut Vec<f64>) {
-    lb_keogh_batch_with(SimdMode::selected(), x, envs, metric, out);
-}
-
-/// [`lb_keogh_batch`] with the SIMD mode pinned explicitly — the
-/// differential harness drives both modes through this entry point in one
-/// process to prove them bit-identical.
-///
-/// # Panics
-///
-/// Panics on any length mismatch.
-pub fn lb_keogh_batch_with(
-    mode: SimdMode,
-    x: &[f64],
-    envs: &[&Envelope],
-    metric: ElementMetric,
-    out: &mut Vec<f64>,
-) {
     out.clear();
     out.reserve(envs.len());
     let mut chunks = envs.chunks_exact(LB_LANES);
@@ -316,37 +299,17 @@ pub fn lb_keogh_batch_with(
                 "LB_Keogh requires equal lengths (resample first)"
             );
         }
-        match mode {
-            SimdMode::Scalar => {
-                let mut acc = [0.0f64; LB_LANES];
-                for (i, &xi) in x.iter().enumerate() {
-                    for (l, env) in chunk.iter().enumerate() {
-                        let dev = if xi > env.upper[i] {
-                            metric.eval(xi, env.upper[i])
-                        } else if xi < env.lower[i] {
-                            metric.eval(xi, env.lower[i])
-                        } else {
-                            0.0
-                        };
-                        acc[l] += dev;
-                    }
-                }
-                out.extend_from_slice(&acc);
-            }
-            SimdMode::Lanes => {
-                // lane l walks envelope chunk[l]; the envelope values are
-                // gathered per sample (the tubes live in separate Vecs),
-                // the probe sample is a splat shared by every lane
-                let mut acc = F64Lanes::splat(0.0);
-                for (i, &s) in x.iter().enumerate() {
-                    let xi = F64Lanes::splat(s);
-                    let upper = F64Lanes::from_fn(|l| chunk[l].upper[i]);
-                    let lower = F64Lanes::from_fn(|l| chunk[l].lower[i]);
-                    acc = acc + keogh_dev_lanes(xi, upper, lower, metric);
-                }
-                out.extend_from_slice(acc.as_array());
-            }
+        // lane l walks envelope chunk[l]; the envelope values are
+        // gathered per sample (the tubes live in separate Vecs), the
+        // probe sample is a splat shared by every lane
+        let mut acc = F64Lanes::splat(0.0);
+        for (i, &s) in x.iter().enumerate() {
+            let xi = F64Lanes::splat(s);
+            let upper = F64Lanes::from_fn(|l| chunk[l].upper[i]);
+            let lower = F64Lanes::from_fn(|l| chunk[l].lower[i]);
+            acc = acc + keogh_dev_lanes(xi, upper, lower, metric);
         }
+        out.extend_from_slice(acc.as_array());
     }
     for env in chunks.remainder() {
         out.push(lb_keogh_values(x, env, metric));
@@ -357,29 +320,12 @@ pub fn lb_keogh_batch_with(
 /// of one stream scored against the shared query envelope. Appends one
 /// bound per window to `out`, in order; each is bit-identical to
 /// `lb_keogh_values(w, env, metric)` (see [`LB_LANES`] for the chunk
-/// invariants). Runs in the process-wide [`SimdMode::selected`];
-/// [`lb_keogh_batch_windows_with`] pins it.
+/// invariants).
 ///
 /// # Panics
 ///
 /// Panics on any length mismatch.
 pub fn lb_keogh_batch_windows(
-    windows: &[&[f64]],
-    env: &Envelope,
-    metric: ElementMetric,
-    out: &mut Vec<f64>,
-) {
-    lb_keogh_batch_windows_with(SimdMode::selected(), windows, env, metric, out);
-}
-
-/// [`lb_keogh_batch_windows`] with the SIMD mode pinned explicitly (the
-/// differential harness's entry point).
-///
-/// # Panics
-///
-/// Panics on any length mismatch.
-pub fn lb_keogh_batch_windows_with(
-    mode: SimdMode,
     windows: &[&[f64]],
     env: &Envelope,
     metric: ElementMetric,
@@ -396,38 +342,16 @@ pub fn lb_keogh_batch_windows_with(
                 "LB_Keogh requires equal lengths (resample first)"
             );
         }
-        match mode {
-            SimdMode::Scalar => {
-                let mut acc = [0.0f64; LB_LANES];
-                for i in 0..env.upper.len() {
-                    let (upper, lower) = (env.upper[i], env.lower[i]);
-                    for (l, w) in chunk.iter().enumerate() {
-                        let xi = w[i];
-                        let dev = if xi > upper {
-                            metric.eval(xi, upper)
-                        } else if xi < lower {
-                            metric.eval(xi, lower)
-                        } else {
-                            0.0
-                        };
-                        acc[l] += dev;
-                    }
-                }
-                out.extend_from_slice(&acc);
-            }
-            SimdMode::Lanes => {
-                // lane l walks window chunk[l]; the shared tube is a
-                // splat, the window samples are gathered per position
-                let mut acc = F64Lanes::splat(0.0);
-                for (i, (&upper, &lower)) in env.upper.iter().zip(&env.lower).enumerate() {
-                    let upper = F64Lanes::splat(upper);
-                    let lower = F64Lanes::splat(lower);
-                    let xi = F64Lanes::from_fn(|l| chunk[l][i]);
-                    acc = acc + keogh_dev_lanes(xi, upper, lower, metric);
-                }
-                out.extend_from_slice(acc.as_array());
-            }
+        // lane l walks window chunk[l]; the shared tube is a splat, the
+        // window samples are gathered per position
+        let mut acc = F64Lanes::splat(0.0);
+        for (i, (&upper, &lower)) in env.upper.iter().zip(&env.lower).enumerate() {
+            let upper = F64Lanes::splat(upper);
+            let lower = F64Lanes::splat(lower);
+            let xi = F64Lanes::from_fn(|l| chunk[l][i]);
+            acc = acc + keogh_dev_lanes(xi, upper, lower, metric);
         }
+        out.extend_from_slice(acc.as_array());
     }
     for w in chunks.remainder() {
         out.push(lb_keogh_values(w, env, metric));
@@ -438,21 +362,8 @@ pub fn lb_keogh_batch_windows_with(
 /// summaries, evaluated as three lane passes (endpoints, maxima, minima)
 /// over each chunk. Appends one bound per candidate to `out`, in order;
 /// each is bit-identical to `lb_kim(x, y, metric)` (ragged tails fall
-/// back to the scalar function, per [`LB_LANES`]). Runs in the
-/// process-wide [`SimdMode::selected`]; [`lb_kim_batch_with`] pins it.
+/// back to the scalar function, per [`LB_LANES`]).
 pub fn lb_kim_batch(
-    x: &SeriesSummary,
-    ys: &[SeriesSummary],
-    metric: ElementMetric,
-    out: &mut Vec<f64>,
-) {
-    lb_kim_batch_with(SimdMode::selected(), x, ys, metric, out);
-}
-
-/// [`lb_kim_batch`] with the SIMD mode pinned explicitly (the
-/// differential harness's entry point).
-pub fn lb_kim_batch_with(
-    mode: SimdMode,
     x: &SeriesSummary,
     ys: &[SeriesSummary],
     metric: ElementMetric,
@@ -462,81 +373,44 @@ pub fn lb_kim_batch_with(
     out.reserve(ys.len());
     let mut chunks = ys.chunks_exact(LB_LANES);
     for chunk in &mut chunks {
-        match mode {
-            SimdMode::Scalar => {
-                let mut ends = [0.0f64; LB_LANES];
-                let mut top = [0.0f64; LB_LANES];
-                let mut bottom = [0.0f64; LB_LANES];
-                for (l, y) in chunk.iter().enumerate() {
-                    ends[l] = if x.len == 1 && y.len == 1 {
-                        metric.eval(x.first, y.first)
-                    } else {
-                        metric.eval(x.first, y.first) + metric.eval(x.last, y.last)
-                    };
-                }
-                for (l, y) in chunk.iter().enumerate() {
-                    top[l] = if x.max > y.max {
-                        metric.eval(x.max, y.max)
-                    } else if y.max > x.max {
-                        metric.eval(y.max, x.max)
-                    } else {
-                        0.0
-                    };
-                }
-                for (l, y) in chunk.iter().enumerate() {
-                    bottom[l] = if x.min < y.min {
-                        metric.eval(x.min, y.min)
-                    } else if y.min < x.min {
-                        metric.eval(y.min, x.min)
-                    } else {
-                        0.0
-                    };
-                }
-                for l in 0..LB_LANES {
-                    out.push(ends[l].max(top[l]).max(bottom[l]));
-                }
+        // endpoints stay a per-lane gather: the 1×1-grid special case
+        // branches on each candidate's length, which is not worth a
+        // select over a usize compare
+        let ends = F64Lanes::from_fn(|l| {
+            let y = &chunk[l];
+            if x.len == 1 && y.len == 1 {
+                metric.eval(x.first, y.first)
+            } else {
+                metric.eval(x.first, y.first) + metric.eval(x.last, y.last)
             }
-            SimdMode::Lanes => {
-                // endpoints stay a per-lane gather: the 1×1-grid special
-                // case branches on each candidate's length, which is not
-                // worth a select over a usize compare
-                let ends = F64Lanes::from_fn(|l| {
-                    let y = &chunk[l];
-                    if x.len == 1 && y.len == 1 {
-                        metric.eval(x.first, y.first)
-                    } else {
-                        metric.eval(x.first, y.first) + metric.eval(x.last, y.last)
-                    }
-                });
-                // the extreme terms mirror the scalar if/else-if chains,
-                // including the argument order of each eval ((x−y)² and
-                // (y−x)² agree bitwise under IEEE, but mirroring keeps
-                // the lane body a literal transcription of the scalar)
-                let x_max = F64Lanes::splat(x.max);
-                let y_max = F64Lanes::from_fn(|l| chunk[l].max);
-                let top = F64Lanes::select(
-                    x_max.gt(y_max),
-                    lanes_eval(metric, x_max, y_max),
-                    F64Lanes::select(
-                        y_max.gt(x_max),
-                        lanes_eval(metric, y_max, x_max),
-                        F64Lanes::splat(0.0),
-                    ),
-                );
-                let x_min = F64Lanes::splat(x.min);
-                let y_min = F64Lanes::from_fn(|l| chunk[l].min);
-                let bottom = F64Lanes::select(
-                    x_min.lt(y_min),
-                    lanes_eval(metric, x_min, y_min),
-                    F64Lanes::select(
-                        y_min.lt(x_min),
-                        lanes_eval(metric, y_min, x_min),
-                        F64Lanes::splat(0.0),
-                    ),
-                );
-                out.extend_from_slice(ends.max(top).max(bottom).as_array());
-            }
-        }
+        });
+        // the extreme terms mirror the scalar if/else-if chains,
+        // including the argument order of each eval ((x−y)² and (y−x)²
+        // agree bitwise under IEEE, but mirroring keeps the lane body a
+        // literal transcription of the scalar)
+        let x_max = F64Lanes::splat(x.max);
+        let y_max = F64Lanes::from_fn(|l| chunk[l].max);
+        let top = F64Lanes::select(
+            x_max.gt(y_max),
+            lanes_eval(metric, x_max, y_max),
+            F64Lanes::select(
+                y_max.gt(x_max),
+                lanes_eval(metric, y_max, x_max),
+                F64Lanes::splat(0.0),
+            ),
+        );
+        let x_min = F64Lanes::splat(x.min);
+        let y_min = F64Lanes::from_fn(|l| chunk[l].min);
+        let bottom = F64Lanes::select(
+            x_min.lt(y_min),
+            lanes_eval(metric, x_min, y_min),
+            F64Lanes::select(
+                y_min.lt(x_min),
+                lanes_eval(metric, y_min, x_min),
+                F64Lanes::splat(0.0),
+            ),
+        );
+        out.extend_from_slice(ends.max(top).max(bottom).as_array());
     }
     for y in chunks.remainder() {
         out.push(lb_kim(x, y, metric));
@@ -853,40 +727,6 @@ mod tests {
                     let want = lb_kim(&x, y, metric);
                     assert_eq!(want.to_bits(), got.to_bits(), "count {count}");
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn pinned_batch_modes_are_bit_identical() {
-        // scalar-chunked vs explicit-lanes, pinned inside one process
-        let x = seeded(0x91, 32);
-        let series: Vec<Vec<f64>> = (0..21).map(|k| seeded(k as u64 + 40, 32)).collect();
-        let envs: Vec<Envelope> = series
-            .iter()
-            .map(|v| Envelope::build_from_values(v, 3))
-            .collect();
-        let env_refs: Vec<&Envelope> = envs.iter().collect();
-        let windows: Vec<&[f64]> = series.iter().map(|v| v.as_slice()).collect();
-        let shared = Envelope::build_from_values(&x, 2);
-        let xs = SeriesSummary::of_values(&x);
-        let ys: Vec<SeriesSummary> = series.iter().map(|v| SeriesSummary::of_values(v)).collect();
-        for metric in [ElementMetric::Squared, ElementMetric::Absolute] {
-            let (mut a, mut b) = (Vec::new(), Vec::new());
-            lb_keogh_batch_with(SimdMode::Scalar, &x, &env_refs, metric, &mut a);
-            lb_keogh_batch_with(SimdMode::Lanes, &x, &env_refs, metric, &mut b);
-            for (s, l) in a.iter().zip(&b) {
-                assert_eq!(s.to_bits(), l.to_bits(), "keogh batch");
-            }
-            lb_keogh_batch_windows_with(SimdMode::Scalar, &windows, &shared, metric, &mut a);
-            lb_keogh_batch_windows_with(SimdMode::Lanes, &windows, &shared, metric, &mut b);
-            for (s, l) in a.iter().zip(&b) {
-                assert_eq!(s.to_bits(), l.to_bits(), "keogh windows");
-            }
-            lb_kim_batch_with(SimdMode::Scalar, &xs, &ys, metric, &mut a);
-            lb_kim_batch_with(SimdMode::Lanes, &xs, &ys, metric, &mut b);
-            for (s, l) in a.iter().zip(&b) {
-                assert_eq!(s.to_bits(), l.to_bits(), "kim batch");
             }
         }
     }

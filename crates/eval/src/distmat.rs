@@ -343,7 +343,7 @@ fn matrix_trace(
         k,
         policy: config.policy.label(),
         kernel: config.dtw.kernel_label(),
-        engine: format!("{:?}", sdtw::DtwEngine::selected()).to_lowercase(),
+        engine: "wavefront".into(),
     };
     trace
 }

@@ -9,12 +9,11 @@ use sdtw_dtw::band::Band;
 use sdtw_dtw::cascade::{
     Cascade, CascadeScratch, CoarseEnvelope, PruneStage, SampleInput, StageKind,
 };
-use sdtw_dtw::engine::DtwEngine;
 use sdtw_dtw::engine::Normalization;
 use sdtw_dtw::lower_bound::{lb_keogh_batch, lb_kim_batch, Envelope, SeriesSummary, LB_LANES};
 use sdtw_obs::{InputShape, QueryTrace, Recorder, TracePhase, WorkloadKind};
 use sdtw_salient::{extract_features, SalientFeature};
-use sdtw_tseries::transform::z_normalize;
+use sdtw_tseries::transform::{try_z_normalize, z_normalize};
 use sdtw_tseries::{TimeSeries, TsError};
 use serde::{Deserialize, Serialize};
 
@@ -238,7 +237,8 @@ impl SdtwIndex {
     ///
     /// # Errors
     ///
-    /// Configuration validation and feature-extraction errors.
+    /// Configuration validation, a series whose z-normalisation overflows
+    /// ([`TsError::InvalidParameter`]), and feature-extraction errors.
     pub fn build(corpus: &[TimeSeries], config: IndexConfig) -> Result<Self, TsError> {
         config.validate()?;
         let engine = SDtw::new(config.sdtw.clone())?;
@@ -247,7 +247,7 @@ impl SdtwIndex {
             .iter()
             .map(|ts| {
                 let series = if config.z_normalize {
-                    z_normalize(ts)
+                    try_z_normalize(ts)?
                 } else {
                     ts.clone()
                 };
@@ -345,7 +345,8 @@ impl SdtwIndex {
     ///
     /// # Errors
     ///
-    /// `k == 0`, or feature extraction failing on the query.
+    /// `k == 0`, a query whose z-normalisation overflows, or feature
+    /// extraction failing on the query.
     pub fn query_with_scratch(
         &self,
         query: &TimeSeries,
@@ -367,7 +368,8 @@ impl SdtwIndex {
     ///
     /// # Errors
     ///
-    /// `k == 0`, or feature extraction failing on the query.
+    /// `k == 0`, a query whose z-normalisation overflows, or feature
+    /// extraction failing on the query.
     pub fn query_traced(
         &self,
         query: &TimeSeries,
@@ -386,7 +388,7 @@ impl SdtwIndex {
             k: k as u64,
             policy: self.config.sdtw.policy.label(),
             kernel: self.config.sdtw.dtw.kernel_label(),
-            engine: format!("{:?}", DtwEngine::selected()).to_lowercase(),
+            engine: "wavefront".into(),
         };
         trace.counters.cascade = result.stats;
         trace.counters.passes = 1;
@@ -424,6 +426,11 @@ impl SdtwIndex {
     /// visit order a kNN query would use. O(corpus) with no DP work —
     /// the level-1 ranking seam of the serve daemon's two-level pattern
     /// cascade.
+    ///
+    /// # Panics
+    ///
+    /// Panics when z-normalising `query` overflows; pass queries that
+    /// [`SdtwIndex::query`] (or the stream matcher) already accepted.
     pub fn coarse_screen(&self, query: &TimeSeries) -> CoarseScreen {
         let q = if self.config.z_normalize {
             z_normalize(query)
@@ -451,7 +458,8 @@ impl SdtwIndex {
     ///
     /// # Errors
     ///
-    /// `k == 0`, or feature extraction failing on the query.
+    /// `k == 0`, a query whose z-normalisation overflows, or feature
+    /// extraction failing on the query.
     pub fn query_detailed(
         &self,
         query: &TimeSeries,
@@ -501,7 +509,7 @@ impl SdtwIndex {
             });
         }
         let q = if self.config.z_normalize {
-            z_normalize(query)
+            try_z_normalize(query)?
         } else {
             query.clone()
         };
@@ -740,7 +748,8 @@ impl SdtwIndex {
     ///
     /// # Errors
     ///
-    /// `k == 0`, or feature extraction failing on the query.
+    /// `k == 0`, a query whose z-normalisation overflows, or feature
+    /// extraction failing on the query.
     pub fn query(&self, query: &TimeSeries, k: usize) -> Result<QueryResult, TsError> {
         let mut scratch = DtwScratch::new();
         self.query_with_scratch(query, k, &mut scratch)
@@ -753,7 +762,8 @@ impl SdtwIndex {
     ///
     /// # Errors
     ///
-    /// The first per-query error (`k == 0`, feature extraction).
+    /// The first per-query error (`k == 0`, z-normalisation overflow,
+    /// feature extraction).
     pub fn batch_query(
         &self,
         queries: &[TimeSeries],
@@ -906,36 +916,6 @@ impl SdtwIndex {
             engine,
             entries,
         })
-    }
-
-    /// Serialises the index to JSON (configuration + entries; the engine
-    /// is rebuilt on load).
-    ///
-    /// # Errors
-    ///
-    /// Serialisation failures (propagated from the serde layer).
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `SnapshotCodec::encode` (JSON or the binary columnar v2 format)"
-    )]
-    pub fn to_json(&self) -> Result<String, TsError> {
-        self.encode_json()
-    }
-
-    /// Loads an index from a JSON snapshot, revalidating the
-    /// configuration and the per-entry structural invariants (see
-    /// [`crate::SnapshotCodec`] for the shared validation contract).
-    ///
-    /// # Errors
-    ///
-    /// Parse failures, configuration validation failures, or corrupted
-    /// entries.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `SnapshotCodec::decode`, which auto-detects JSON and binary snapshots"
-    )]
-    pub fn from_json(json: &str) -> Result<Self, TsError> {
-        Self::decode_json(json)
     }
 }
 

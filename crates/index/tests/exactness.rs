@@ -243,13 +243,17 @@ fn batch_queries_are_bit_identical_serial_and_parallel() {
     }
 }
 
+/// The JSON snapshot text of an index.
+fn json_snapshot(index: &SdtwIndex) -> String {
+    String::from_utf8(SnapshotCodec::encode(index, SnapshotFormat::Json).unwrap()).unwrap()
+}
+
 #[test]
-#[allow(deprecated)] // the JSON shims must keep working until removed
 fn json_snapshot_roundtrips_to_identical_results() {
     let (_, corpus, queries) = seeded_datasets().remove(0);
     let index = SdtwIndex::build(&corpus, IndexConfig::exact_banded(0.2)).unwrap();
-    let json = index.to_json().unwrap();
-    let loaded = SdtwIndex::from_json(&json).unwrap();
+    let json = json_snapshot(&index);
+    let loaded = SnapshotCodec::decode(json.as_bytes()).unwrap();
     assert_eq!(index.len(), loaded.len());
     for query in &queries {
         let a = index.query(query, 4).unwrap();
@@ -329,27 +333,25 @@ fn corrupted_binary_snapshot_is_rejected() {
 }
 
 #[test]
-#[allow(deprecated)] // the JSON shims must keep working until removed
 fn corrupted_snapshot_is_rejected() {
     let corpus = econ::generate(3, 2, 2).series;
     let index = SdtwIndex::build(&corpus, IndexConfig::exact_banded(0.2)).unwrap();
-    let json = index.to_json().unwrap();
-    assert!(SdtwIndex::from_json("not json").is_err());
+    let json = json_snapshot(&index);
+    assert!(SnapshotCodec::decode(b"not json").is_err());
     // tamper with the envelope radius so the dimension check trips
     let tampered = json.replace("\"radius\":", "\"radius\": 9");
     if tampered != json {
-        assert!(SdtwIndex::from_json(&tampered).is_err());
+        assert!(SnapshotCodec::decode(tampered.as_bytes()).is_err());
     }
 }
 
 #[test]
-#[allow(deprecated)] // the JSON shims must keep working until removed
 fn snapshot_with_out_of_range_features_is_rejected() {
     // adaptive mode caches salient features; a feature whose scope
     // escapes its series must fail the load-time structural check
     let corpus = UcrAnalog::Gun.generate(5).series[..6].to_vec();
     let index = SdtwIndex::build(&corpus, IndexConfig::sdtw_bands()).unwrap();
-    let json = index.to_json().unwrap();
+    let json = json_snapshot(&index);
     let key = "\"scope_end\":";
     let pos = json.find(key).expect("adaptive snapshot stores features");
     let digits_start = pos + key.len();
@@ -361,9 +363,9 @@ fn snapshot_with_out_of_range_features_is_rejected() {
         &json[..pos],
         &json[digits_start + digits_len..]
     );
-    assert!(SdtwIndex::from_json(&tampered).is_err());
+    assert!(SnapshotCodec::decode(tampered.as_bytes()).is_err());
     // untampered snapshot still loads
-    assert!(SdtwIndex::from_json(&json).is_ok());
+    assert!(SnapshotCodec::decode(json.as_bytes()).is_ok());
 }
 
 #[test]

@@ -4,7 +4,7 @@
 use crate::protocol::{RequestOp, ServeHit, ServeRequest, ServeResponse};
 use parking_lot::Mutex;
 use rayon::prelude::*;
-use sdtw_dtw::engine::{DtwEngine, DtwScratch};
+use sdtw_dtw::engine::DtwScratch;
 use sdtw_index::{SdtwIndex, SnapshotCodec};
 use sdtw_obs::{InputShape, QueryTrace, Recorder, TracePhase, WorkloadKind};
 use sdtw_stream::{StreamConfig, SubseqMatcher};
@@ -308,7 +308,7 @@ impl ServeEngine {
                 k: k as u64,
                 policy: self.stream_cfg.sdtw.policy.label(),
                 kernel: self.stream_cfg.sdtw.dtw.kernel_label(),
-                engine: format!("{:?}", DtwEngine::selected()).to_lowercase(),
+                engine: "wavefront".into(),
             };
             t
         });

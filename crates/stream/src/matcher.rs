@@ -8,13 +8,13 @@ use sdtw::{DtwScratch, SDtw};
 use sdtw_dtw::cascade::{
     Cascade, CascadeScratch, CascadeStats, CoarseEnvelope, PruneStage, SampleInput, StageKind,
 };
-use sdtw_dtw::engine::{dtw_run_batch_values, DtwEngine, Normalization};
+use sdtw_dtw::engine::{dtw_run_batch_values, Normalization};
 use sdtw_dtw::lower_bound::{lb_keogh_batch_windows, lb_kim, Envelope, SeriesSummary, LB_LANES};
 use sdtw_dtw::Band;
 use sdtw_obs::{InputShape, QueryTrace, Recorder, SpanRecord, TracePhase, WorkloadKind};
 use sdtw_salient::{extract_features, SalientFeature};
 use sdtw_tseries::stats::WindowedStats;
-use sdtw_tseries::transform::z_normalize_values;
+use sdtw_tseries::transform::{try_z_normalize, z_normalize_values};
 use sdtw_tseries::{TimeSeries, TsError};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -172,13 +172,13 @@ impl SubseqMatcher {
         config.validate()?;
         let engine = SDtw::new(config.sdtw.clone())?;
         let prepared = if config.z_normalize {
-            // samples near the f64 range overflow the moments: refuse
-            // with a typed error rather than prepare a non-finite query
-            let mut values = Vec::with_capacity(query.len());
-            z_normalize_values(query.values(), &mut values);
-            TimeSeries::new(values).map_err(|e| TsError::InvalidParameter {
-                name: "query",
-                reason: format!("z-normalisation overflows ({e})"),
+            // the overflow error names the offending parameter
+            try_z_normalize(query).map_err(|e| match e {
+                TsError::InvalidParameter { reason, .. } => TsError::InvalidParameter {
+                    name: "query",
+                    reason,
+                },
+                other => other,
             })?
         } else {
             query.clone()
@@ -654,7 +654,7 @@ impl SubseqMatcher {
             k,
             policy: self.config.sdtw.policy.label(),
             kernel: self.config.sdtw.dtw.kernel_label(),
-            engine: format!("{:?}", DtwEngine::selected()).to_lowercase(),
+            engine: "wavefront".into(),
         }
     }
 

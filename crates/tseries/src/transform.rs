@@ -10,7 +10,14 @@ use crate::series::TimeSeries;
 
 /// Re-attaches label/id from `src` onto freshly built `values`.
 fn rebuild(src: &TimeSeries, values: Vec<f64>) -> TimeSeries {
-    let mut out = TimeSeries::new(values).expect("transform produced invalid series");
+    relabel(
+        src,
+        TimeSeries::new(values).expect("transform produced invalid series"),
+    )
+}
+
+/// Copies label/id from `src` onto `out`.
+fn relabel(src: &TimeSeries, mut out: TimeSeries) -> TimeSeries {
     if let Some(l) = src.label() {
         out = out.labeled(l);
     }
@@ -23,10 +30,30 @@ fn rebuild(src: &TimeSeries, values: Vec<f64>) -> TimeSeries {
 /// Z-normalises a series: subtract the mean, divide by the population
 /// standard deviation. A constant series (σ = 0) maps to all-zeros rather
 /// than dividing by zero — the convention used by the UCR suite.
+///
+/// # Panics
+///
+/// Panics when the moments overflow (samples near the `f64` range); use
+/// [`try_z_normalize`] on untrusted input.
 pub fn z_normalize(ts: &TimeSeries) -> TimeSeries {
-    let mut values = Vec::new();
+    try_z_normalize(ts).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// [`z_normalize`] that refuses instead of panicking: samples near the
+/// `f64` range (e.g. `1e308`) overflow the mean or the variance, and the
+/// normalised values come out non-finite.
+///
+/// # Errors
+///
+/// [`TsError::InvalidParameter`] when a normalised sample is not finite.
+pub fn try_z_normalize(ts: &TimeSeries) -> Result<TimeSeries, TsError> {
+    let mut values = Vec::with_capacity(ts.len());
     z_normalize_values(ts.values(), &mut values);
-    rebuild(ts, values)
+    let out = TimeSeries::new(values).map_err(|e| TsError::InvalidParameter {
+        name: "series",
+        reason: format!("z-normalisation overflows ({e})"),
+    })?;
+    Ok(relabel(ts, out))
 }
 
 /// [`z_normalize`] over a raw sample slice, writing into a reusable
@@ -243,6 +270,21 @@ mod tests {
         let z = z_normalize(&ts(&[1.0, 2.0, 3.0, 4.0, 5.0]));
         assert!(z.mean().abs() < 1e-12);
         assert!((z.std_dev() - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn try_z_normalize_refuses_overflowing_moments() {
+        let huge = ts(&[1e308, 1.5e308, 1e308]);
+        match try_z_normalize(&huge) {
+            Err(TsError::InvalidParameter { reason, .. }) => {
+                assert!(reason.contains("overflows"), "{reason}")
+            }
+            other => panic!("expected InvalidParameter, got {other:?}"),
+        }
+        let ok = ts(&[1.0, 2.0, 3.0]).labeled(4);
+        let z = try_z_normalize(&ok).unwrap();
+        assert_eq!(z, z_normalize(&ok));
+        assert_eq!(z.label(), Some(4));
     }
 
     #[test]

@@ -1,12 +1,13 @@
-//! Differential harness: the wavefront (anti-diagonal) DP engine against
-//! the row-sequential reference — and, orthogonally, the explicit-SIMD
-//! lane sweep against the scalar cell loop — over a seeded grid of
-//! kernels × band families × path/cutoff modes. Every engine × SIMD-mode
-//! combination must agree **bit for bit** — distances, cells filled,
-//! warp paths, and early-abandon decisions — because every per-cell
-//! expression is shared; any drift here is an indexing bug in the
-//! diagonal sweep (or a lane-interior bound error), never a tolerance
-//! question.
+//! Differential harness: the two fills of the one DP entry point — the
+//! lane wavefront (anti-diagonal sweep, taken when no warp path is
+//! requested) and the row fill (taken when one is) — against each other
+//! and against the all-scalar wavefront oracle
+//! (`dtw::reference::wavefront_scalar_values`), over a seeded grid of
+//! kernels × band families × cutoffs. Every fill must agree **bit for
+//! bit** — distances, cells filled and early-abandon decisions — because
+//! every per-cell expression is shared; any drift here is an indexing
+//! bug in the diagonal sweep (or a lane-interior bound error), never a
+//! tolerance question.
 //!
 //! The same harness drives the edge cases: degenerate lengths, bands
 //! wider than the grid, all-equal series (maximal tie-path ambiguity),
@@ -20,31 +21,23 @@ use common::{structured_series, TestRng};
 use sdtw_suite::core::{ConstraintPolicy, SDtw, SDtwConfig};
 use sdtw_suite::dtw::band::ColRange;
 use sdtw_suite::dtw::engine::{
-    dtw_run_batch_values, dtw_run_options_values, dtw_run_options_values_pinned, DtwEngine,
-    DtwOptions, DtwResult, DtwScratch, Normalization, StepPattern,
+    dtw_run_batch_values, dtw_run_options_values, DtwOptions, DtwResult, DtwScratch, Normalization,
+    StepPattern,
 };
 use sdtw_suite::dtw::itakura::itakura_band;
+use sdtw_suite::dtw::reference::wavefront_scalar_values;
 use sdtw_suite::dtw::sakoe::sakoe_chiba_band;
-use sdtw_suite::dtw::simd::{SimdMode, LANE_WIDTH};
+use sdtw_suite::dtw::simd::LANE_WIDTH;
 use sdtw_suite::dtw::{Band, KernelChoice};
 use sdtw_suite::salient::extract_features;
 use sdtw_suite::tseries::{TimeSeries, TsError};
 
-/// Every engine × SIMD-mode combination the grid pins. The row engine
-/// ignores the SIMD mode by contract, so running it under both modes
-/// doubles as a regression check of exactly that.
-const COMBOS: [(&str, DtwEngine, SimdMode); 4] = [
-    ("wavefront/lanes", DtwEngine::Wavefront, SimdMode::Lanes),
-    ("wavefront/scalar", DtwEngine::Wavefront, SimdMode::Scalar),
-    ("rows/lanes", DtwEngine::Rows, SimdMode::Lanes),
-    ("rows/scalar", DtwEngine::Rows, SimdMode::Scalar),
-];
-
-/// Runs one configuration under every engine × SIMD-mode combination and
-/// asserts bit-identity of every observable: abandon decision, distance
-/// bits, cells filled, and the warp path (when traced). Returns the
-/// wavefront/lanes outcome.
-fn assert_engines_agree(
+/// Runs one configuration through the entry point without and with a
+/// path request (the lane wavefront and the row fill) and through the
+/// scalar wavefront oracle, and asserts bit-identity of every shared
+/// observable: abandon decision, distance bits and cells filled. Only the
+/// row fill traces a path. Returns the row-fill outcome.
+fn assert_fills_agree(
     xv: &[f64],
     yv: &[f64],
     band: &Band,
@@ -53,42 +46,42 @@ fn assert_engines_agree(
     label: &str,
 ) -> Option<DtwResult> {
     let mut scratch = DtwScratch::new();
-    let mut results: Vec<(&str, Option<DtwResult>)> = Vec::with_capacity(COMBOS.len());
-    for (name, engine, simd) in COMBOS {
-        results.push((
-            name,
-            dtw_run_options_values_pinned(engine, simd, xv, yv, band, opts, cutoff, &mut scratch),
-        ));
-    }
-    let (ref_name, reference) = &results[0];
-    for (name, got) in &results[1..] {
-        match (reference, got) {
+    let mut run = |compute_path| {
+        let opts = DtwOptions {
+            compute_path,
+            ..*opts
+        };
+        dtw_run_options_values(xv, yv, band, &opts, cutoff, &mut scratch)
+    };
+    let wavefront = run(false);
+    let rows = run(true);
+    let reference = wavefront_scalar_values(xv, yv, band, opts, cutoff, &mut scratch);
+    assert!(wavefront.as_ref().is_none_or(|r| r.path.is_none()));
+    assert!(rows.as_ref().is_none_or(|r| r.path.is_some()));
+    for (name, got) in [("rows", &rows), ("scalar reference", &reference)] {
+        match (&wavefront, got) {
             (None, None) => {}
             (Some(w), Some(r)) => {
                 assert_eq!(
                     w.distance.to_bits(),
                     r.distance.to_bits(),
-                    "distance diverged [{label}]: {ref_name} {} vs {name} {}",
+                    "distance diverged [{label}]: wavefront {} vs {name} {}",
                     w.distance,
                     r.distance
                 );
                 assert_eq!(
                     w.cells_filled, r.cells_filled,
-                    "cell accounting diverged [{label}]: {ref_name} vs {name}"
-                );
-                assert_eq!(
-                    w.path, r.path,
-                    "warp path diverged [{label}]: {ref_name} vs {name}"
+                    "cell accounting diverged [{label}]: wavefront vs {name}"
                 );
             }
             _ => panic!(
-                "abandon decisions diverged [{label}]: {ref_name} {:?} vs {name} {:?}",
-                reference.as_ref().map(|r| r.distance),
+                "abandon decisions diverged [{label}]: wavefront {:?} vs {name} {:?}",
+                wavefront.as_ref().map(|r| r.distance),
                 got.as_ref().map(|r| r.distance)
             ),
         }
     }
-    results.swap_remove(0).1
+    rows
 }
 
 /// The three kernels the grid sweeps: standard symmetric1 (the paper's
@@ -140,37 +133,33 @@ fn wavefront_matches_rows_across_the_seeded_grid() {
         ];
         for (bname, band) in &bands {
             for (kname, opts) in kernel_grid() {
-                for compute_path in [false, true] {
-                    let opts = DtwOptions {
-                        compute_path,
-                        ..opts
-                    };
-                    let label =
-                        format!("pair {pair} band {bname} kernel {kname} path {compute_path}");
-                    // no cutoff first — its distance seeds the cutoff cases
-                    let full = assert_engines_agree(xv, yv, band, &opts, None, &label)
-                        .expect("no cutoff cannot abandon");
-                    // a generous cutoff (survives, including the tie) and a
-                    // tight one (must abandon): both decisions must agree
-                    for (cname, cutoff) in [
-                        ("loose", full.distance * 1.5 + 1.0),
-                        ("tie", full.distance),
-                        ("tight", full.distance * 0.5 - 1e-9),
-                    ] {
-                        let outcome = assert_engines_agree(
-                            xv,
-                            yv,
-                            band,
-                            &opts,
-                            Some(cutoff),
-                            &format!("{label} cutoff {cname}"),
-                        );
-                        match cname {
-                            "tight" => assert!(outcome.is_none(), "tight cutoff must abandon"),
-                            _ => {
-                                assert!(outcome.is_some(), "cutoff at/above the distance survives")
-                            }
-                        }
+                let label = format!("pair {pair} band {bname} kernel {kname}");
+                // no cutoff first — its distance seeds the cutoff cases
+                let full = assert_fills_agree(xv, yv, band, &opts, None, &label)
+                    .expect("no cutoff cannot abandon");
+                full.path
+                    .as_ref()
+                    .expect("the row fill traces the path")
+                    .validate(xv.len(), yv.len())
+                    .unwrap_or_else(|e| panic!("{label}: invalid path: {e}"));
+                // a generous cutoff (survives, including the tie) and a
+                // tight one (must abandon): every decision must agree
+                for (cname, cutoff) in [
+                    ("loose", full.distance * 1.5 + 1.0),
+                    ("tie", full.distance),
+                    ("tight", full.distance * 0.5 - 1e-9),
+                ] {
+                    let outcome = assert_fills_agree(
+                        xv,
+                        yv,
+                        band,
+                        &opts,
+                        Some(cutoff),
+                        &format!("{label} cutoff {cname}"),
+                    );
+                    match cname {
+                        "tight" => assert!(outcome.is_none(), "tight cutoff must abandon"),
+                        _ => assert!(outcome.is_some(), "cutoff at/above the distance survives"),
                     }
                 }
             }
@@ -192,17 +181,17 @@ fn degenerate_lengths_agree_and_empty_inputs_are_rejected() {
     ] {
         let band = Band::full(xv.len(), yv.len());
         for (kname, opts) in kernel_grid() {
-            assert_engines_agree(&xv, &yv, &band, &opts, None, &format!("degenerate {kname}"));
+            assert_fills_agree(&xv, &yv, &band, &opts, None, &format!("degenerate {kname}"));
         }
     }
-    // empty input never reaches either engine: the series type rejects it
+    // empty input never reaches either fill: the series type rejects it
     assert!(matches!(TimeSeries::new(vec![]), Err(TsError::Empty)));
     let engine = SDtw::new(SDtwConfig::default()).unwrap();
-    for dp in [DtwEngine::Wavefront, DtwEngine::Rows] {
-        let err = engine.query_window(&[], &[1.0]).dp_engine(dp).run();
+    for compute_path in [false, true] {
+        let err = engine.query_window(&[], &[1.0]).path(compute_path).run();
         assert!(
             matches!(err, Err(TsError::Empty)),
-            "{dp:?} must reject empty windows"
+            "path {compute_path} must reject empty windows"
         );
     }
 }
@@ -215,13 +204,7 @@ fn bands_wider_than_the_grid_clamp_identically() {
     let band = sakoe_chiba_band(x.len(), y.len(), 5.0);
     assert_eq!(band.area(), Band::full(x.len(), y.len()).area());
     for (kname, opts) in kernel_grid() {
-        for compute_path in [false, true] {
-            let opts = DtwOptions {
-                compute_path,
-                ..opts
-            };
-            assert_engines_agree(&x, &y, &band, &opts, None, &format!("overwide {kname}"));
-        }
+        assert_fills_agree(&x, &y, &band, &opts, None, &format!("overwide {kname}"));
     }
 }
 
@@ -229,22 +212,17 @@ fn bands_wider_than_the_grid_clamp_identically() {
 fn all_equal_series_resolve_ties_identically() {
     // every cell costs 0 (squared metric): the DP is one giant tie and
     // the traceback's deterministic preference order is all that picks
-    // the path — both engines must report the same one (path mode
-    // dispatches to the row engine by design, so this pins the fallback)
+    // the path — every fill must still report the same distance
     let x = vec![3.0; 20];
     let y = vec![3.0; 25];
     let band = Band::full(x.len(), y.len());
     for (kname, opts) in kernel_grid() {
-        let opts = DtwOptions {
-            compute_path: true,
-            ..opts
-        };
-        let r = assert_engines_agree(&x, &y, &band, &opts, None, &format!("ties {kname}"))
+        let r = assert_fills_agree(&x, &y, &band, &opts, None, &format!("ties {kname}"))
             .expect("no cutoff");
-        let path = r.path.expect("path requested");
+        let path = r.path.expect("the row fill traces the path");
         // amerced pays a penalty per off-diagonal step, so only the
         // standard kernels yield exactly 0 here; ties still resolve the
-        // same way in both engines either way
+        // same way in every fill either way
         if !matches!(opts.kernel, KernelChoice::Amerced { .. }) {
             assert_eq!(r.distance.to_bits(), 0f64.to_bits(), "{kname}");
         }
@@ -274,7 +252,7 @@ fn non_staircase_bands_agree() {
     assert!(band.is_feasible(), "the test band must be DP-feasible");
     for (kname, opts) in kernel_grid() {
         for cutoff in [None, Some(1.0), Some(1e9)] {
-            assert_engines_agree(
+            assert_fills_agree(
                 &x,
                 &y,
                 &band,
@@ -297,38 +275,6 @@ fn non_finite_inputs_never_reach_the_engines() {
             "series construction must reject {bad}"
         );
     }
-}
-
-#[test]
-fn env_selection_and_explicit_override_agree() {
-    // whatever SDTW_ENGINE says for this process, pinning the engine
-    // explicitly must reproduce it bit for bit when it names the same
-    // engine — and the two pins must agree with each other regardless
-    let engine = SDtw::new(SDtwConfig::default()).unwrap();
-    let x = TimeSeries::new((0..60).map(|i| (i as f64 / 6.0).sin()).collect()).unwrap();
-    let y = TimeSeries::new((0..55).map(|i| (i as f64 / 5.0).cos()).collect()).unwrap();
-    let ambient = engine.query(&x, &y).run().unwrap().unwrap();
-    let selected = engine
-        .query(&x, &y)
-        .dp_engine(DtwEngine::selected())
-        .run()
-        .unwrap()
-        .unwrap();
-    assert_eq!(ambient.distance.to_bits(), selected.distance.to_bits());
-    let wave = engine
-        .query(&x, &y)
-        .dp_engine(DtwEngine::Wavefront)
-        .run()
-        .unwrap()
-        .unwrap();
-    let rows = engine
-        .query(&x, &y)
-        .dp_engine(DtwEngine::Rows)
-        .run()
-        .unwrap()
-        .unwrap();
-    assert_eq!(wave.distance.to_bits(), rows.distance.to_bits());
-    assert_eq!(wave.cells_filled, rows.cells_filled);
 }
 
 /// Every kernel of the grid under both normalisations.

@@ -3,6 +3,7 @@
 //! same neighbours, same distances, perfect `retrieval_accuracy` — while
 //! pruning real work, on a labelled UCR-analogue corpus.
 
+use sdtw_suite::datasets::econ;
 use sdtw_suite::eval::retrieval::retrieval_accuracy;
 use sdtw_suite::prelude::*;
 
@@ -82,4 +83,109 @@ fn index_prunes_while_staying_exact_on_labelled_data() {
         "self-queries should prune hard, got {}",
         total.prune_rate()
     );
+}
+
+/// Three seeded datasets (the suite's standard trio), a handful of
+/// series each.
+fn seeded_series() -> Vec<(&'static str, Vec<TimeSeries>)> {
+    vec![
+        ("gun", UcrAnalog::Gun.generate(11).series[..4].to_vec()),
+        ("trace", UcrAnalog::Trace.generate(22).series[..4].to_vec()),
+        ("econ", econ::generate(7, 2, 2).series),
+    ]
+}
+
+/// The three constraint-policy families under test.
+fn policies() -> Vec<ConstraintPolicy> {
+    vec![
+        ConstraintPolicy::FixedCoreFixedWidth { width_frac: 0.1 },
+        ConstraintPolicy::adaptive_core_adaptive_width(),
+        ConstraintPolicy::adaptive_core_adaptive_width_averaged(),
+    ]
+}
+
+#[test]
+fn cascade_stats_are_reproducible_across_execution_modes() {
+    // CascadeStats must be a pure function of (index, query, k): identical
+    // between fresh-scratch and reused-scratch queries and between serial
+    // and parallel batches, for every policy family and both symmetries.
+    for (name, series) in seeded_series() {
+        for policy in policies() {
+            for symmetry in [BandSymmetry::Asymmetric, BandSymmetry::Union] {
+                let config = IndexConfig {
+                    sdtw: SDtwConfig {
+                        policy,
+                        symmetry,
+                        ..SDtwConfig::default()
+                    },
+                    z_normalize: false,
+                    lb_radius_frac: 0.2,
+                    ..IndexConfig::default()
+                };
+                let index = SdtwIndex::build(&series, config).unwrap();
+                let queries: Vec<TimeSeries> = series.iter().take(2).cloned().collect();
+                let ctx = format!("{name}/{}/{symmetry:?}", policy.label());
+
+                let mut scratch = DtwScratch::new();
+                for q in &queries {
+                    let fresh = index.query(q, 3).unwrap();
+                    let reused = index.query_with_scratch(q, 3, &mut scratch).unwrap();
+                    assert_eq!(fresh, reused, "{ctx}: scratch reuse changed the answer");
+                    assert!(fresh.stats.is_consistent(), "{ctx}: stats leak");
+                    assert!(!fresh.stats.bounds_disabled, "{ctx}: bounds stay on");
+                }
+                let serial = index.batch_query(&queries, 3, false).unwrap();
+                let parallel = index.batch_query(&queries, 3, true).unwrap();
+                assert_eq!(serial, parallel, "{ctx}: parallelism changed the answer");
+            }
+        }
+    }
+}
+
+/// Samples near the `f64` range overflow the z-normalisation moments.
+fn overflowing_series() -> TimeSeries {
+    TimeSeries::new(vec![1e308, 1.5e308, 1e308, 1.5e308, 1e308, 1.5e308]).unwrap()
+}
+
+fn znorm_config() -> IndexConfig {
+    IndexConfig {
+        z_normalize: true,
+        ..IndexConfig::exact_banded(0.2)
+    }
+}
+
+#[test]
+fn building_over_an_overflowing_series_is_refused_not_a_panic() {
+    let mut corpus = UcrAnalog::Gun.generate(3).series[..3].to_vec();
+    corpus.push(overflowing_series());
+    let err = SdtwIndex::build(&corpus, znorm_config()).unwrap_err();
+    assert!(
+        matches!(err, TsError::InvalidParameter { .. }),
+        "wrong error: {err:?}"
+    );
+}
+
+#[test]
+fn querying_with_an_overflowing_series_is_refused_not_a_panic() {
+    let corpus = UcrAnalog::Gun.generate(3).series[..4].to_vec();
+    let index = SdtwIndex::build(&corpus, znorm_config()).unwrap();
+    let query = overflowing_series();
+    for err in [
+        index.query(&query, 2).unwrap_err(),
+        index.query_traced(&query, 2, "q").unwrap_err(),
+        index.query_detailed(&query, 2).unwrap_err(),
+        index
+            .batch_query(&[corpus[0].clone(), query.clone()], 2, false)
+            .unwrap_err(),
+        index
+            .batch_query(std::slice::from_ref(&query), 2, true)
+            .unwrap_err(),
+    ] {
+        assert!(
+            matches!(err, TsError::InvalidParameter { .. }),
+            "wrong error: {err:?}"
+        );
+    }
+    // a well-formed query still answers
+    assert_eq!(index.query(&corpus[1], 2).unwrap().neighbors.len(), 2);
 }

@@ -675,8 +675,7 @@ fn golden_stream_runs() -> Vec<StreamCounters> {
 
 /// Golden stream counters, captured from the single-window serial sweep.
 /// The lane-batched flush must reproduce every counter (prune credit per
-/// stage, abandoned vs completed, cells, cache hits) exactly; the CI
-/// matrix runs this under every `SDTW_ENGINE × SDTW_SIMD` leg.
+/// stage, abandoned vs completed, cells, cache hits) exactly.
 #[test]
 fn batched_flush_counters_match_the_serial_sweep_golden_record() {
     const GOLDEN: [StreamCounters; 3] = [

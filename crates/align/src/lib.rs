@@ -22,6 +22,9 @@
 //!    into corresponding intervals (Figure 9's A…K), the raw material for
 //!    the locally relevant constraints built in the `sdtw` core crate.
 //!
+//! The scalar dominant-pair search lives on in [`mod@reference`] as the test
+//! oracle of the lane-batched production search.
+//!
 //! # Example
 //!
 //! ```
@@ -53,6 +56,7 @@ pub mod config;
 pub mod interval;
 pub mod matcher;
 pub mod prune;
+pub mod reference;
 pub mod scores;
 
 pub use config::MatchConfig;

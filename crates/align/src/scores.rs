@@ -10,12 +10,12 @@ pub fn mu_align(fi: &SalientFeature, fj: &SalientFeature) -> f64 {
     scopes / (1.0 + (fi.center() - fj.center()).abs())
 }
 
-/// Descriptor similarity: the paper speaks of a descriptor "matching
-/// score"; we define it as `1 / (1 + ‖d_i − d_j‖₂)` so that *higher is more
-/// similar* and the score is bounded in `(0, 1]` (see DESIGN.md §5).
-pub fn descriptor_similarity(fi: &SalientFeature, fj: &SalientFeature) -> f64 {
-    let dist = sdtw_tseries::metric::euclidean(&fi.descriptor, &fj.descriptor);
-    1.0 / (1.0 + dist)
+/// Descriptor similarity of a pair whose descriptors lie `desc_distance`
+/// apart: the paper speaks of a descriptor "matching score"; we define it
+/// as `1 / (1 + ‖d_i − d_j‖₂)` so that *higher is more similar* and the
+/// score is bounded in `(0, 1]` (see DESIGN.md §5).
+pub fn descriptor_similarity(desc_distance: f64) -> f64 {
+    1.0 / (1.0 + desc_distance)
 }
 
 /// Percentage amplitude difference of the two features' scope means,
@@ -29,11 +29,10 @@ pub fn delta_amp(fi: &SalientFeature, fj: &SalientFeature) -> f64 {
     ((fi.amplitude - fj.amplitude).abs() / denom).min(1.0)
 }
 
-/// Similarity score of a pair, given the minimum descriptor similarity
-/// among all matched pairs:
+/// Similarity score of a pair with descriptor similarity `mu_desc`, given
+/// the minimum descriptor similarity among all matched pairs:
 /// `µ_sim = (µ_desc / µ_desc,min) × (1 − Δ_amp)`.
-pub fn mu_sim(fi: &SalientFeature, fj: &SalientFeature, mu_desc_min: f64) -> f64 {
-    let mu_desc = descriptor_similarity(fi, fj);
+pub fn mu_sim(fi: &SalientFeature, fj: &SalientFeature, mu_desc: f64, mu_desc_min: f64) -> f64 {
     let denom = if mu_desc_min > 0.0 { mu_desc_min } else { 1.0 };
     (mu_desc / denom) * (1.0 - delta_amp(fi, fj))
 }
@@ -69,6 +68,7 @@ pub fn combined_scores(pairs: &[(f64, f64)]) -> Vec<f64> {
 mod tests {
     use super::*;
     use sdtw_salient::{Keypoint, Polarity};
+    use sdtw_tseries::metric::euclidean;
 
     fn feat(
         position: usize,
@@ -116,8 +116,10 @@ mod tests {
         let a = feat(0, 6.0, 1.0, vec![1.0, 0.0]);
         let same = feat(0, 6.0, 1.0, vec![1.0, 0.0]);
         let far = feat(0, 6.0, 1.0, vec![0.0, 9.0]);
-        assert_eq!(descriptor_similarity(&a, &same), 1.0);
-        let s = descriptor_similarity(&a, &far);
+        let sim =
+            |f: &SalientFeature| descriptor_similarity(euclidean(&a.descriptor, &f.descriptor));
+        assert_eq!(sim(&same), 1.0);
+        let s = sim(&far);
         assert!(s > 0.0 && s < 0.2);
     }
 
@@ -141,12 +143,12 @@ mod tests {
         let a = feat(0, 6.0, 1.0, vec![1.0, 0.0]);
         let b = feat(0, 6.0, 1.0, vec![1.0, 0.0]);
         // identical descriptors, identical amplitude, min = own similarity
-        assert!((mu_sim(&a, &b, 1.0) - 1.0).abs() < 1e-12);
+        assert!((mu_sim(&a, &b, 1.0, 1.0) - 1.0).abs() < 1e-12);
         // halved amplitude ratio halves the score
         let c = feat(0, 6.0, 2.0, vec![1.0, 0.0]);
-        assert!((mu_sim(&a, &c, 1.0) - 0.5).abs() < 1e-12);
+        assert!((mu_sim(&a, &c, 1.0, 1.0) - 0.5).abs() < 1e-12);
         // degenerate min falls back to 1.0 divisor
-        assert!(mu_sim(&a, &b, 0.0).is_finite());
+        assert!(mu_sim(&a, &b, 1.0, 0.0).is_finite());
     }
 
     #[test]

@@ -38,6 +38,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sdtw::{ConstraintPolicy, FeatureStore, KernelChoice, SDtw, SDtwConfig};
+use sdtw_bench::min_ns_per_call;
 use sdtw_dtw::engine::{
     dtw_full, dtw_run_batch_values, dtw_run_options, dtw_run_options_values, DtwOptions, DtwScratch,
 };
@@ -511,25 +512,6 @@ fn bench_api_knn(c: &mut Criterion) {
         });
     }
     group.finish();
-}
-
-/// Min-of-batches nanoseconds per call: warmed, then the minimum mean
-/// over several batches — the estimator least sensitive to scheduler
-/// noise on the shared 1-core CI runner, which is what a 2% assertion
-/// needs.
-fn min_ns_per_call(f: &mut dyn FnMut(), iters: u32, batches: u32) -> f64 {
-    for _ in 0..iters / 4 {
-        f();
-    }
-    let mut min = f64::INFINITY;
-    for _ in 0..batches {
-        let t = std::time::Instant::now();
-        for _ in 0..iters {
-            f();
-        }
-        min = min.min(t.elapsed().as_nanos() as f64 / f64::from(iters));
-    }
-    min
 }
 
 /// Telemetry zero-cost guard (`BENCH_obs.json`). Records the shipping

@@ -117,6 +117,25 @@ pub fn print_table(headers: &[&str], widths: &[usize], rows: &[Vec<String>]) {
     }
 }
 
+/// Min-of-batches nanoseconds per call: warmed, then the minimum mean
+/// over several batches — the estimator least sensitive to scheduler
+/// noise on a shared CI runner, which the benches' guard assertions
+/// (a 2% overhead budget, ≥ 1.2× lane speedups) need.
+pub fn min_ns_per_call(f: &mut dyn FnMut(), iters: u32, batches: u32) -> f64 {
+    for _ in 0..iters / 4 {
+        f();
+    }
+    let mut min = f64::INFINITY;
+    for _ in 0..batches {
+        let t = std::time::Instant::now();
+        for _ in 0..iters {
+            f();
+        }
+        min = min.min(t.elapsed().as_nanos() as f64 / f64::from(iters));
+    }
+    min
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -71,6 +71,12 @@ impl LaneMask {
     pub fn lane(&self, l: usize) -> bool {
         self.0[l]
     }
+
+    /// Whether every lane is set.
+    #[inline(always)]
+    pub fn all(&self) -> bool {
+        self.0.iter().all(|&b| b)
+    }
 }
 
 impl F64Lanes {
@@ -173,6 +179,13 @@ impl F64Lanes {
         })
     }
 
+    /// Lanewise square root — `f64::sqrt` per lane, which IEEE-754
+    /// rounds correctly, so every lane equals the scalar root bit for bit.
+    #[inline(always)]
+    pub fn sqrt(self) -> Self {
+        Self::from_fn(|l| self.0[l].sqrt())
+    }
+
     /// Lanewise `self > rhs`.
     #[inline(always)]
     pub fn gt(self, rhs: Self) -> LaneMask {
@@ -226,6 +239,16 @@ impl std::ops::Sub for F64Lanes {
     #[inline(always)]
     fn sub(self, rhs: Self) -> Self {
         Self::from_fn(|l| self.0[l] - rhs.0[l])
+    }
+}
+
+impl std::ops::Div for F64Lanes {
+    type Output = Self;
+
+    /// Lanewise `self / rhs`.
+    #[inline(always)]
+    fn div(self, rhs: Self) -> Self {
+        Self::from_fn(|l| self.0[l] / rhs.0[l])
     }
 }
 
@@ -296,6 +319,18 @@ mod tests {
             assert_eq!((a * b).lane(l).to_bits(), (a.lane(l) * b.lane(l)).to_bits());
             assert_eq!(a.abs().lane(l).to_bits(), a.lane(l).abs().to_bits());
         }
+    }
+
+    #[test]
+    fn sqrt_div_and_all_match_scalar() {
+        let a = F64Lanes::load(&seeded(9, LANE_WIDTH)).abs();
+        let b = F64Lanes::load(&seeded(10, LANE_WIDTH)).abs() + F64Lanes::splat(0.5);
+        for l in 0..LANE_WIDTH {
+            assert_eq!(a.sqrt().lane(l).to_bits(), a.lane(l).sqrt().to_bits());
+            assert_eq!((a / b).lane(l).to_bits(), (a.lane(l) / b.lane(l)).to_bits());
+        }
+        assert!(b.gt(F64Lanes::splat(0.0)).all());
+        assert!(!LaneMask::from_fn(|l| l != 3).all());
     }
 
     #[test]

@@ -353,7 +353,7 @@ impl SdtwIndex {
         k: usize,
         scratch: &mut DtwScratch,
     ) -> Result<QueryResult, TsError> {
-        let (result, _, _) = self.query_recorded(query, k, scratch, &mut Recorder::disabled())?;
+        let (result, _) = self.query_recorded(query, k, scratch, &mut Recorder::disabled())?;
         Ok(result)
     }
 
@@ -379,8 +379,7 @@ impl SdtwIndex {
         let t0 = std::time::Instant::now();
         let mut scratch = DtwScratch::new();
         let mut rec = Recorder::enabled();
-        let (result, band_area, full_grid) =
-            self.query_recorded(query, k, &mut scratch, &mut rec)?;
+        let (result, work) = self.query_recorded(query, k, &mut scratch, &mut rec)?;
         let mut trace = QueryTrace::new(query_id, WorkloadKind::IndexKnn);
         trace.shape = InputShape {
             x_len: query.len() as u64,
@@ -392,8 +391,7 @@ impl SdtwIndex {
         };
         trace.counters.cascade = result.stats;
         trace.counters.passes = 1;
-        trace.band_area = band_area;
-        trace.full_grid = full_grid;
+        trace.merge(&work);
         trace.spans = rec.finish();
         trace.wall = t0.elapsed();
         Ok((result, trace))
@@ -467,7 +465,7 @@ impl SdtwIndex {
     ) -> Result<(QueryResult, Vec<EntryDisposition>), TsError> {
         let mut scratch = DtwScratch::new();
         let mut dispositions = Vec::with_capacity(self.entries.len());
-        let (result, _, _) = self.query_recorded_into(
+        let (result, _) = self.query_recorded_into(
             query,
             k,
             &mut scratch,
@@ -480,15 +478,16 @@ impl SdtwIndex {
 
     /// The instrumented query body: every public entry point funnels
     /// here, with a disabled recorder on the untraced paths. Returns the
-    /// result plus the summed band area and unconstrained grid area of
-    /// the candidates that reached the DP stage.
+    /// result plus a partial trace holding the query's work totals: band
+    /// and grid areas summed over the candidates that reached the DP,
+    /// and descriptor comparisons summed over every adaptive band plan.
     fn query_recorded(
         &self,
         query: &TimeSeries,
         k: usize,
         scratch: &mut DtwScratch,
         rec: &mut Recorder,
-    ) -> Result<(QueryResult, u64, u64), TsError> {
+    ) -> Result<(QueryResult, QueryTrace), TsError> {
         self.query_recorded_into(query, k, scratch, rec, None)
     }
 
@@ -501,7 +500,7 @@ impl SdtwIndex {
         scratch: &mut DtwScratch,
         rec: &mut Recorder,
         mut dispositions: Option<&mut Vec<EntryDisposition>>,
-    ) -> Result<(QueryResult, u64, u64), TsError> {
+    ) -> Result<(QueryResult, QueryTrace), TsError> {
         if k == 0 {
             return Err(TsError::InvalidParameter {
                 name: "k",
@@ -547,9 +546,8 @@ impl SdtwIndex {
 
         let mut topk = TopK::new(k);
         let mut stats = CascadeStats::default();
-        // (band area, unconstrained grid area) summed over DP candidates —
-        // the pruning-power denominators of a trace
-        let mut areas = (0u64, 0u64);
+        // the trace's work totals, folded in by `query_traced`
+        let mut work = QueryTrace::default();
         let mut pending: Vec<PendingCandidate> = Vec::with_capacity(LB_LANES);
 
         for &(kim, idx) in &order {
@@ -582,9 +580,12 @@ impl SdtwIndex {
                 continue;
             }
             let (n, m) = (q.len(), entry.series.len());
-            let (band, _) = rec.time(TracePhase::BandPlan, || {
+            let (band, matched) = rec.time(TracePhase::BandPlan, || {
                 self.engine.plan_band(&fq, &entry.features, n, m)
             });
+            if let Some(matched) = matched {
+                work.descriptor_comparisons += matched.descriptor_comparisons as u64;
+            }
             // The DP kernel sanitises infeasible bands internally (for the
             // oracle path too — deterministically, so distances cannot
             // diverge); LB admissibility must be judged on those same
@@ -607,7 +608,7 @@ impl SdtwIndex {
                     &mut stats,
                     scratch,
                     rec,
-                    &mut areas,
+                    &mut work,
                     dispositions.as_deref_mut(),
                 );
             }
@@ -622,12 +623,12 @@ impl SdtwIndex {
             &mut stats,
             scratch,
             rec,
-            &mut areas,
+            &mut work,
             dispositions,
         );
         debug_assert!(stats.is_consistent(), "every candidate accounted once");
         let neighbors = rec.time(TracePhase::TopKMerge, || topk.into_sorted());
-        Ok((QueryResult { neighbors, stats }, areas.0, areas.1))
+        Ok((QueryResult { neighbors, stats }, work))
     }
 
     /// Drains the deferred candidate queue: one batched forward LB_Keogh
@@ -650,7 +651,7 @@ impl SdtwIndex {
         stats: &mut CascadeStats,
         scratch: &mut DtwScratch,
         rec: &mut Recorder,
-        areas: &mut (u64, u64),
+        work: &mut QueryTrace,
         mut dispositions: Option<&mut Vec<EntryDisposition>>,
     ) {
         if pending.is_empty() {
@@ -704,8 +705,8 @@ impl SdtwIndex {
                 }
                 continue;
             }
-            areas.0 += cand.band.area() as u64;
-            areas.1 += (q.len() * entry.series.len()) as u64;
+            work.band_area += cand.band.area() as u64;
+            work.full_grid += (q.len() * entry.series.len()) as u64;
             match rec
                 .time(TracePhase::DpFill, || {
                     self.engine

@@ -34,8 +34,8 @@ use std::collections::BTreeMap;
 const KIM_GUARD: f64 = 1e-7;
 
 /// A serial scan's payload: the result, the spans its recorder kept,
-/// and the summed (band, full-grid) areas of the DP-entering windows.
-type CoreScan = (SubseqResult, Vec<SpanRecord>, (u64, u64));
+/// and its work totals as a partial trace (see `ShardScan::work`).
+type CoreScan = (SubseqResult, Vec<SpanRecord>, QueryTrace);
 
 /// Below this (scale-relative) deviation the rolling σ cannot be
 /// distinguished from the exact σ = 0 of a constant window, where
@@ -344,13 +344,11 @@ impl SubseqMatcher {
         query_id: &str,
     ) -> Result<(SubseqResult, QueryTrace), TsError> {
         let t0 = std::time::Instant::now();
-        let (result, spans, areas) =
-            self.find_core(series, k, tau, &mut DtwScratch::new(), true)?;
+        let (result, spans, work) = self.find_core(series, k, tau, &mut DtwScratch::new(), true)?;
         let mut trace = QueryTrace::new(query_id, WorkloadKind::SubseqFind);
         trace.shape = self.trace_shape(series.len() as u64, k as u64);
         trace.counters = result.stats;
-        trace.band_area = areas.0;
-        trace.full_grid = areas.1;
+        trace.merge(&work);
         trace.spans = spans;
         trace.wall = t0.elapsed();
         Ok((result, trace))
@@ -359,8 +357,7 @@ impl SubseqMatcher {
     /// The serial scan everybody funnels through: the one-shard
     /// degenerate of the sharded machinery, with an enabled recorder on
     /// the traced entry point and a disabled (≈free) one otherwise.
-    /// Returns the result plus the recorded spans and the summed
-    /// (band, full-grid) areas of the DP-entering windows.
+    /// Returns the result plus the recorded spans and the work totals.
     fn find_core(
         &self,
         series: &TimeSeries,
@@ -389,7 +386,7 @@ impl SubseqMatcher {
                     stats: StreamStats::default(),
                 },
                 Vec::new(),
-                (0, 0),
+                QueryTrace::default(),
             ));
         }
         let w_count = xv.len() - self.m + 1;
@@ -415,7 +412,7 @@ impl SubseqMatcher {
                 stats,
             },
             shard.rec.finish(),
-            shard.areas,
+            shard.work,
         ))
     }
 
@@ -584,10 +581,8 @@ impl SubseqMatcher {
                 .into_iter()
                 .map(|scan| QueryTrace {
                     counters: scan.stats,
-                    band_area: scan.areas.0,
-                    full_grid: scan.areas.1,
                     spans: scan.rec.finish(),
-                    ..QueryTrace::default()
+                    ..scan.work
                 })
                 .collect()
         } else {
@@ -680,7 +675,7 @@ impl SubseqMatcher {
         eval: &mut EvalScratch,
         stats: &mut CascadeStats,
         rec: &mut Recorder,
-        areas: &mut (u64, u64),
+        work: &mut QueryTrace,
     ) -> Result<WindowVerdict, TsError> {
         debug_assert_eq!(raw.len(), self.m, "window must match the query length");
         if let Some(kind) = rec.time(TracePhase::LbKim, || {
@@ -699,27 +694,31 @@ impl SubseqMatcher {
             ..
         } = eval;
         let wv = self.normalize_window(raw, window);
-        let planned = rec.time(TracePhase::BandPlan, || self.plan_window_band(wv))?;
+        let planned = rec.time(TracePhase::BandPlan, || self.plan_window_band(wv, work))?;
         let band = planned
             .as_ref()
             .or(self.fixed_band.as_ref())
             .expect("alignment-free policies carry a fixed band");
-        self.finish_window(wv, band, None, threshold, dtw, cascade, stats, rec, areas)
+        self.finish_window(wv, band, None, threshold, dtw, cascade, stats, rec, work)
     }
 
     /// Plans the adaptive band for one prepared (normalised) window —
     /// extract its descriptors, plan against the cached query
-    /// descriptors, sanitise. `None` under an alignment-free policy,
-    /// where every window shares the matcher's `fixed_band`.
-    fn plan_window_band(&self, wv: &[f64]) -> Result<Option<Band>, TsError> {
+    /// descriptors, sanitise; the plan's descriptor comparisons add to
+    /// `work`. `None` under an alignment-free policy, where every window
+    /// shares the matcher's `fixed_band`.
+    fn plan_window_band(&self, wv: &[f64], work: &mut QueryTrace) -> Result<Option<Band>, TsError> {
         if self.fixed_band.is_some() {
             return Ok(None);
         }
         let wts = TimeSeries::new(wv.to_vec())?;
         let wf = extract_features(&wts, &self.config.sdtw.salient)?;
-        let (b, _) = self
+        let (b, matched) = self
             .engine
             .plan_band(&self.query_features, &wf, self.m, self.m);
+        if let Some(matched) = matched {
+            work.descriptor_comparisons += matched.descriptor_comparisons as u64;
+        }
         Ok(Some(if b.is_feasible() { b } else { b.sanitize() }))
     }
 
@@ -740,7 +739,7 @@ impl SubseqMatcher {
         cascade_scratch: &mut CascadeScratch,
         stats: &mut CascadeStats,
         rec: &mut Recorder,
-        areas: &mut (u64, u64),
+        work: &mut QueryTrace,
     ) -> Result<WindowVerdict, TsError> {
         if let Some(kind) = self.screen_window(
             wv,
@@ -762,7 +761,7 @@ impl SubseqMatcher {
                 .scratch(dtw)
                 .run()
         })?;
-        Ok(self.charge_dp(band, outcome.map(|r| r.distance), stats, areas))
+        Ok(self.charge_dp(band, outcome.map(|r| r.distance), stats, work))
     }
 
     /// The counted sample-phase screen of one prepared window: the
@@ -800,10 +799,10 @@ impl SubseqMatcher {
         band: &Band,
         distance: Option<f64>,
         stats: &mut CascadeStats,
-        areas: &mut (u64, u64),
+        work: &mut QueryTrace,
     ) -> WindowVerdict {
-        areas.0 += band.area() as u64;
-        areas.1 += (self.m * self.m) as u64;
+        work.band_area += band.area() as u64;
+        work.full_grid += (self.m * self.m) as u64;
         match distance {
             None => {
                 // the abandoning run still paid for part of the grid;
@@ -958,9 +957,10 @@ struct ShardScan {
     /// Shard-local phase spans — disabled (≈free) outside the traced
     /// entry points.
     rec: Recorder,
-    /// (band area, full grid area) summed over DP-entering windows —
-    /// the pruning-power denominators of a trace.
-    areas: (u64, u64),
+    /// Work totals as a partial trace: band and full-grid areas summed
+    /// over DP-entering windows (the pruning-power denominators) and
+    /// descriptor comparisons summed over adaptive band plans.
+    work: QueryTrace,
 }
 
 impl ShardScan {
@@ -982,7 +982,7 @@ impl ShardScan {
             } else {
                 Recorder::disabled()
             },
-            areas: (0, 0),
+            work: QueryTrace::default(),
         }
     }
 
@@ -1011,7 +1011,7 @@ impl ShardScan {
             eval,
             stats,
             rec,
-            areas,
+            work,
             ..
         } = self;
         // WindowSweep is the enclosing span: its duration covers the
@@ -1070,7 +1070,7 @@ impl ShardScan {
                 Some(l) => &lanes[l],
                 None => raw,
             };
-            let band = rec.time(TracePhase::BandPlan, || matcher.plan_window_band(wv))?;
+            let band = rec.time(TracePhase::BandPlan, || matcher.plan_window_band(wv, work))?;
             pending.push(PendingWindow { w, lane, band });
             if pending.len() == LB_LANES {
                 Self::flush_pending(
@@ -1085,7 +1085,7 @@ impl ShardScan {
                     tau,
                     &mut best,
                     rec,
-                    areas,
+                    work,
                 )?;
             }
         }
@@ -1101,7 +1101,7 @@ impl ShardScan {
             tau,
             &mut best,
             rec,
-            areas,
+            work,
         )?;
         if let Some(t0) = sweep_t0 {
             rec.add(TracePhase::WindowSweep, t0.elapsed());
@@ -1149,7 +1149,7 @@ impl ShardScan {
         tau: f64,
         best: &mut Option<(f64, usize)>,
         rec: &mut Recorder,
-        areas: &mut (u64, u64),
+        work: &mut QueryTrace,
     ) -> Result<(), TsError> {
         if pending.is_empty() {
             return Ok(());
@@ -1236,7 +1236,7 @@ impl ShardScan {
                             let lane = lane_of[p]
                                 .expect("a window the fresh screen keeps passed the stale one");
                             let distance = filled[lane].filter(|&d| d <= threshold);
-                            matcher.charge_dp(band, distance, stats, areas)
+                            matcher.charge_dp(band, distance, stats, work)
                         }
                     }
                 }
@@ -1254,7 +1254,7 @@ impl ShardScan {
                         cascade_scratch,
                         stats,
                         rec,
-                        areas,
+                        work,
                     )?
                 }
             };

@@ -119,8 +119,9 @@ pub(crate) struct QueryRuntime {
     stats: StreamStats,
     /// Phase spans — disabled (≈free) until tracing is switched on.
     rec: Recorder,
-    /// (band area, full grid area) summed over DP-entering windows.
-    areas: (u64, u64),
+    /// Work totals as a partial trace: band and full-grid areas summed
+    /// over DP-entering windows, descriptor comparisons over band plans.
+    work: QueryTrace,
 }
 
 /// Greedy non-overlapping selection over `sorted` (ascending by
@@ -176,7 +177,7 @@ impl QueryRuntime {
                 ..StreamStats::default()
             },
             rec: Recorder::disabled(),
-            areas: (0, 0),
+            work: QueryTrace::default(),
         })
     }
 
@@ -204,8 +205,7 @@ impl QueryRuntime {
         let mut trace = QueryTrace::new(query_id, WorkloadKind::MonitorBatch);
         trace.shape = self.matcher.trace_shape(stream_len, self.k as u64);
         trace.counters = self.stats;
-        trace.band_area = self.areas.0;
-        trace.full_grid = self.areas.1;
+        trace.merge(&self.work);
         trace.spans = self.rec.take_spans();
         trace
     }
@@ -237,7 +237,7 @@ impl QueryRuntime {
             &mut self.eval,
             &mut self.stats.cascade,
             &mut self.rec,
-            &mut self.areas,
+            &mut self.work,
         )?;
         let WindowVerdict::Completed(distance) = verdict else {
             return Ok(None);
@@ -298,7 +298,7 @@ impl QueryRuntime {
             passes: 1,
             ..StreamStats::default()
         };
-        self.areas = (0, 0);
+        self.work = QueryTrace::default();
         let on = self.rec.is_enabled();
         self.set_tracing(on);
     }

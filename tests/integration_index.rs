@@ -189,3 +189,52 @@ fn querying_with_an_overflowing_series_is_refused_not_a_panic() {
     // a well-formed query still answers
     assert_eq!(index.query(&corpus[1], 2).unwrap().neighbors.len(), 2);
 }
+
+/// A traced query reports the descriptor comparisons of its adaptive
+/// band plans: the sum of the per-entry counts `plan_band` returns for
+/// every entry the summary stages let through to planning. An
+/// alignment-free (Sakoe) index plans no adaptive band and reports 0.
+#[test]
+fn traced_queries_report_the_descriptor_comparisons_of_their_band_plans() {
+    use sdtw_suite::dtw::StageKind;
+    use sdtw_suite::index::EntryOutcome;
+    use sdtw_suite::salient::extract_features;
+    use sdtw_suite::tseries::transform::try_z_normalize;
+
+    let ds = UcrAnalog::Gun.generate(55);
+    let corpus = ds.series[..20].to_vec();
+    let query = &ds.series[20];
+
+    let index = SdtwIndex::build(&corpus, IndexConfig::sdtw_bands()).unwrap();
+    let (_, trace) = index.query_traced(query, 3, "q").unwrap();
+    let (_, dispositions) = index.query_detailed(query, 3).unwrap();
+    let cfg = &index.config().sdtw;
+    let engine = SDtw::new(cfg.clone()).unwrap();
+    let q = if index.config().z_normalize {
+        try_z_normalize(query).unwrap()
+    } else {
+        query.clone()
+    };
+    let fq = extract_features(&q, &cfg.salient).unwrap();
+    let planned = dispositions.iter().filter(|d| {
+        !matches!(
+            d.outcome,
+            EntryOutcome::Pruned(StageKind::Kim | StageKind::Paa)
+        )
+    });
+    let want: u64 = planned
+        .map(|d| {
+            let entry = &index.entries()[d.index];
+            let (_, matched) = engine.plan_band(&fq, &entry.features, q.len(), entry.series.len());
+            matched
+                .expect("adaptive policies match features")
+                .descriptor_comparisons as u64
+        })
+        .sum();
+    assert!(want > 0, "the adaptive plans compare descriptors");
+    assert_eq!(trace.descriptor_comparisons, want);
+
+    let sakoe = SdtwIndex::build(&corpus, IndexConfig::exact_banded(0.2)).unwrap();
+    let (_, trace) = sakoe.query_traced(query, 3, "q").unwrap();
+    assert_eq!(trace.descriptor_comparisons, 0);
+}

@@ -685,3 +685,19 @@ fn batched_flush_counters_match_the_serial_sweep_golden_record() {
     ];
     assert_eq!(golden_stream_runs(), GOLDEN);
 }
+
+/// A traced scan under adaptive bands reports the descriptor comparisons
+/// its per-window band plans made; under a fixed Sakoe band it plans none
+/// and reports 0.
+#[test]
+fn traced_scans_report_descriptor_comparisons_of_adaptive_plans() {
+    let ds = UcrAnalog::Gun.generate(5);
+    let query = ds.series[0].clone();
+    let hay = haystack(&ds.series[1..3]);
+    let adaptive = SubseqMatcher::new(&query, StreamConfig::sdtw_bands()).unwrap();
+    let (_, trace) = adaptive.find_traced(&hay, 2, "q-adaptive").unwrap();
+    assert!(trace.descriptor_comparisons > 0);
+    let sakoe = SubseqMatcher::new(&query, StreamConfig::exact_banded(0.2)).unwrap();
+    let (_, trace) = sakoe.find_traced(&hay, 2, "q-sakoe").unwrap();
+    assert_eq!(trace.descriptor_comparisons, 0);
+}
